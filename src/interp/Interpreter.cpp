@@ -35,7 +35,7 @@ class Engine {
 public:
   Engine(const Module &M, const RunOptions &Opts)
       : M(M), Opts(Opts), MCPlan(Opts.MinCover), Check(Opts.FactCheck),
-        Mem(M, Opts.StackWords) {
+        Mem(flattenGlobalImage(M), Opts.StackWords) {
     Io.Input = Opts.Input;
     Io.Input2 = Opts.Input2;
 
@@ -70,7 +70,7 @@ public:
     if (M.MainId == kNoFunc) {
       return makeTrap("module has no main function");
     }
-    if (!enterFunction(M.MainId, /*Args=*/{}, /*RetDst=*/kNoReg,
+    if (!enterFunction(M.MainId, /*ArgRegs=*/{}, /*RetDst=*/kNoReg,
                        /*IsTail=*/true))
       return finishTrap();
     if (MCPlan)
@@ -105,9 +105,10 @@ private:
 
   int64_t &reg(Reg R) { return RegFile[RegBase + static_cast<size_t>(R)]; }
 
-  /// Pushes an activation for \p Callee and transfers control to its entry.
+  /// Pushes an activation for \p Callee and transfers control to its entry;
+  /// the callee's parameters are the caller's registers \p ArgRegs.
   /// When \p IsTail is true (only for main) no caller frame is recorded.
-  bool enterFunction(FuncId Callee, const std::vector<int64_t> &Args,
+  bool enterFunction(FuncId Callee, const std::vector<Reg> &ArgRegs,
                      Reg RetDst, bool IsTail) {
     const Function &F = M.getFunction(Callee);
     assert(!F.IsExternal && "external functions run as intrinsics");
@@ -129,10 +130,14 @@ private:
       return false;
     }
 
+    // The callee's window sits above the caller's, so arguments copy
+    // straight across (by index: the resize may reallocate).
+    size_t CallerBase = RegBase;
     RegBase = RegFile.size();
     RegFile.resize(RegBase + F.NumRegs, 0);
-    for (size_t I = 0; I != Args.size(); ++I)
-      RegFile[RegBase + I] = Args[I];
+    for (size_t I = 0; I != ArgRegs.size(); ++I)
+      RegFile[RegBase + I] =
+          RegFile[CallerBase + static_cast<size_t>(ArgRegs[I])];
     if (Check)
       Check->onEnter(Callee, RegFile.data() + RegBase, F.NumParams);
 
@@ -185,13 +190,9 @@ private:
       return;
     }
 
-    std::vector<int64_t> Args;
-    Args.reserve(I.Args.size());
-    for (Reg A : I.Args)
-      Args.push_back(reg(A));
     if (Check)
-      for (size_t Idx = 0; Idx != Args.size(); ++Idx)
-        Check->onSiteArg(I.SiteId, Idx, Args[Idx]);
+      for (size_t Idx = 0; Idx != I.Args.size(); ++Idx)
+        Check->onSiteArg(I.SiteId, Idx, reg(I.Args[Idx]));
 
     if (F.IsExternal) {
       ++Result.Stats.ExternalCalls;
@@ -201,7 +202,10 @@ private:
         trap("call to unknown external function '" + F.Name + "'");
         return;
       }
-      IntrinsicResult R = IntrinsicRegistry::invoke(Handle, Args, Io, Mem);
+      IntrArgs.clear();
+      for (Reg A : I.Args)
+        IntrArgs.push_back(reg(A));
+      IntrinsicResult R = IntrinsicRegistry::invoke(Handle, IntrArgs, Io, Mem);
       if (!R.Ok) {
         trap(R.Error);
         return;
@@ -225,7 +229,7 @@ private:
     // describes this caller.
     ++CurIndex;
     PendingCallBump = false;
-    if (!enterFunction(Callee, Args, I.Dst, /*IsTail=*/false))
+    if (!enterFunction(Callee, I.Args, I.Dst, /*IsTail=*/false))
       Halted = true;
   }
 
@@ -245,9 +249,7 @@ private:
       return;
     }
 
-    const Function &F = M.getFunction(CurFunc);
     RegFile.resize(RegBase);
-    (void)F;
 
     Frame Top = Frames.back();
     Frames.pop_back();
@@ -540,6 +542,8 @@ private:
 
   // Machine state.
   std::vector<int64_t> RegFile;
+  /// Argument scratch for intrinsic calls, reused across calls.
+  std::vector<int64_t> IntrArgs;
   std::vector<Frame> Frames;
   FuncId CurFunc = kNoFunc;
   BlockId CurBlock = 0;

@@ -14,23 +14,20 @@ namespace {
 constexpr int64_t kDefaultHeapLimitWords = 1ll << 24; // 16M words
 } // namespace
 
-Memory::Memory(const Module &M, int64_t StackWords)
-    : HeapLimitWords(kDefaultHeapLimitWords) {
-  GlobalSeg.assign(static_cast<size_t>(M.getGlobalSegmentSize()), 0);
+std::vector<int64_t> impact::flattenGlobalImage(const Module &M) {
+  std::vector<int64_t> Image(static_cast<size_t>(M.getGlobalSegmentSize()), 0);
   size_t Cursor = 0;
   for (const Global &G : M.Globals) {
-    for (size_t I = 0; I != G.Init.size(); ++I)
-      GlobalSeg[Cursor + I] = G.Init[I];
+    std::copy(G.Init.begin(), G.Init.end(), Image.begin() + Cursor);
     Cursor += static_cast<size_t>(G.Size);
   }
-  StackSeg.assign(static_cast<size_t>(StackWords), 0);
-  StackLimitWords = StackWords;
+  return Image;
 }
 
-Memory::Memory(const std::vector<int64_t> &GlobalImage, int64_t StackWords)
-    : GlobalSeg(GlobalImage), StackLimitWords(StackWords),
+Memory::Memory(std::vector<int64_t> GlobalImage, int64_t StackWords)
+    : GlobalSeg(std::move(GlobalImage)), StackLimitWords(StackWords),
       HeapLimitWords(kDefaultHeapLimitWords) {
-  // Lazy stack: growStack materializes pages on demand. A typical profiled
+  // Lazy stack: growStack materializes it on demand. A typical profiled
   // run peaks at a few hundred words; eagerly zero-filling the multi-MB
   // default budget per run would dwarf the run itself.
 }
@@ -77,9 +74,9 @@ bool Memory::growStack(int64_t Words) {
          " words needed, limit " + std::to_string(StackLimitWords) + ")");
     return false;
   }
-  // Materialize lazily-allocated stack (GlobalImage constructor) in
-  // geometric steps; resize zero-fills the new tail, so the loop below
-  // only re-zeroes words dirtied by previously popped frames.
+  // Materialize the lazily-allocated stack in geometric steps; resize
+  // zero-fills the new tail, so the loop below only re-zeroes words dirtied
+  // by previously popped frames.
   if (StackTop + Words > static_cast<int64_t>(StackSeg.size()))
     StackSeg.resize(static_cast<size_t>(
         std::min(StackLimitWords,

@@ -25,19 +25,16 @@ namespace impact {
 
 class Memory {
 public:
-  /// Initializes segments for \p M; \p StackWords bounds the control stack
-  /// (overflowing it is the paper's "control stack explosion" hazard).
-  Memory(const Module &M, int64_t StackWords);
-
-  /// Initializes segments from a pre-flattened global image. The bytecode
-  /// VM's compiled programs (vm/Bytecode.h) carry one so execution never
-  /// re-touches the Module; the image is byte-identical to what the Module
-  /// constructor would lay out. The stack segment is allocated lazily
-  /// (grown geometrically up to \p StackWords as frames push) so a short
-  /// run never pays for zero-filling the full stack budget up front —
-  /// observably identical to eager allocation, since loads and stores are
-  /// bounds-checked against StackTop and overflow against the limit.
-  Memory(const std::vector<int64_t> &GlobalImage, int64_t StackWords);
+  /// Initializes segments from a flattened global image (see
+  /// flattenGlobalImage); \p StackWords bounds the control stack
+  /// (overflowing it is the paper's "control stack explosion" hazard). The
+  /// stack segment is allocated lazily, grown geometrically up to
+  /// \p StackWords as frames push, so a short run never pays for
+  /// zero-filling the full stack budget up front. This is observably
+  /// identical to eager allocation: every pushed frame is zeroed, loads and
+  /// stores are bounds-checked against StackTop, and overflow is checked
+  /// against the limit.
+  Memory(std::vector<int64_t> GlobalImage, int64_t StackWords);
 
   int64_t load(int64_t Addr);
   void store(int64_t Addr, int64_t Value);
@@ -63,8 +60,8 @@ private:
   std::vector<int64_t> GlobalSeg;
   std::vector<int64_t> StackSeg;
   std::vector<int64_t> HeapSeg;
-  /// Hard stack budget; StackSeg.size() may lag behind it when the segment
-  /// is allocated lazily (the GlobalImage constructor).
+  /// Hard stack budget; StackSeg.size() lags behind it until frames push
+  /// that deep.
   int64_t StackLimitWords = 0;
   int64_t StackTop = 0;
   int64_t PeakStack = 0;
@@ -73,6 +70,11 @@ private:
   bool Trapped = false;
   std::string TrapMessage;
 };
+
+/// Lays out \p M's globals as the initial global segment: each global's
+/// initializer at its address, the rest zero. The walker and the bytecode
+/// compiler both build their Memory from this image.
+std::vector<int64_t> flattenGlobalImage(const Module &M);
 
 } // namespace impact
 

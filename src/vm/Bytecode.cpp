@@ -7,6 +7,7 @@
 #include "vm/Bytecode.h"
 
 #include "interp/Intrinsics.h"
+#include "interp/Memory.h"
 #include "profile/MinCover.h"
 
 #include <cassert>
@@ -569,13 +570,7 @@ VmProgram impact::compileToBytecode(const Module &M,
     Addr += G.Size;
   }
 
-  P.GlobalImage.assign(static_cast<size_t>(M.getGlobalSegmentSize()), 0);
-  size_t Cursor = 0;
-  for (const Global &G : M.Globals) {
-    for (size_t I = 0; I != G.Init.size(); ++I)
-      P.GlobalImage[Cursor + I] = G.Init[I];
-    Cursor += static_cast<size_t>(G.Size);
-  }
+  P.GlobalImage = flattenGlobalImage(M);
 
   P.Funcs.resize(M.Funcs.size());
   P.Callees.reserve(M.Funcs.size());

@@ -160,8 +160,8 @@ struct VmCompileStats {
 struct VmProgram {
   std::vector<VmFunction> Funcs;  // indexed by FuncId
   std::vector<VmCallee> Callees;  // indexed by FuncId
-  /// Flattened initial global segment (what Memory's Module constructor
-  /// would lay out), so runs don't need the Module.
+  /// Flattened initial global segment (flattenGlobalImage), so runs don't
+  /// need the Module.
   std::vector<int64_t> GlobalImage;
   FuncId MainId = kNoFunc;
   uint32_t NumSites = 0;          // Module::NextSiteId (arc-counter table)

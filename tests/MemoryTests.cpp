@@ -6,6 +6,8 @@
 
 #include "interp/Memory.h"
 
+#include "interp/Interpreter.h"
+
 #include <gtest/gtest.h>
 
 using namespace impact;
@@ -19,9 +21,12 @@ Module moduleWithGlobals() {
   return M;
 }
 
+Memory makeMemory(int64_t StackWords) {
+  return Memory(flattenGlobalImage(moduleWithGlobals()), StackWords);
+}
+
 TEST(Memory, GlobalsInitialized) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 64);
+  Memory Mem = makeMemory(64);
   EXPECT_EQ(Mem.load(kGlobalBase + 0), 11);
   EXPECT_EQ(Mem.load(kGlobalBase + 1), 22);
   EXPECT_EQ(Mem.load(kGlobalBase + 2), 33);
@@ -30,22 +35,19 @@ TEST(Memory, GlobalsInitialized) {
 }
 
 TEST(Memory, GlobalStoreRoundTrips) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 64);
+  Memory Mem = makeMemory(64);
   Mem.store(kGlobalBase + 4, -5);
   EXPECT_EQ(Mem.load(kGlobalBase + 4), -5);
 }
 
 TEST(Memory, OutOfSegmentAccessTraps) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 64);
+  Memory Mem = makeMemory(64);
   Mem.load(kGlobalBase + 5); // segment has 5 words (indices 0..4)
   EXPECT_TRUE(Mem.hasTrapped());
 }
 
 TEST(Memory, NullAccessTraps) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 64);
+  Memory Mem = makeMemory(64);
   Mem.store(kNullAddr, 1);
   EXPECT_TRUE(Mem.hasTrapped());
   EXPECT_NE(Mem.getTrapMessage().find("invalid address"),
@@ -53,8 +55,7 @@ TEST(Memory, NullAccessTraps) {
 }
 
 TEST(Memory, FirstTrapMessageSticks) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 64);
+  Memory Mem = makeMemory(64);
   Mem.load(1);
   std::string First = Mem.getTrapMessage();
   Mem.load(2);
@@ -62,8 +63,7 @@ TEST(Memory, FirstTrapMessageSticks) {
 }
 
 TEST(Memory, StackGrowShrinkTracksPeak) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 100);
+  Memory Mem = makeMemory(100);
   EXPECT_TRUE(Mem.growStack(40));
   EXPECT_TRUE(Mem.growStack(30));
   EXPECT_EQ(Mem.getStackWordsInUse(), 70);
@@ -73,8 +73,7 @@ TEST(Memory, StackGrowShrinkTracksPeak) {
 }
 
 TEST(Memory, StackOverflowTrapsAndFails) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 50);
+  Memory Mem = makeMemory(50);
   EXPECT_TRUE(Mem.growStack(50));
   EXPECT_FALSE(Mem.growStack(1));
   EXPECT_TRUE(Mem.hasTrapped());
@@ -83,8 +82,7 @@ TEST(Memory, StackOverflowTrapsAndFails) {
 }
 
 TEST(Memory, StackFramesAreZeroedOnGrow) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 100);
+  Memory Mem = makeMemory(100);
   Mem.growStack(10);
   Mem.store(kStackBase + 5, 99);
   Mem.shrinkStack(10);
@@ -92,17 +90,52 @@ TEST(Memory, StackFramesAreZeroedOnGrow) {
   EXPECT_EQ(Mem.load(kStackBase + 5), 0);
 }
 
+TEST(Memory, StackFramesAreZeroedAcrossGeometricGrowth) {
+  Memory Mem = makeMemory(1000);
+  ASSERT_TRUE(Mem.growStack(8)); // materializes 8 words
+  for (int64_t I = 0; I != 8; ++I)
+    Mem.store(kStackBase + I, 100 + I);
+  Mem.shrinkStack(8);
+  // 3 + 9 words crosses the materialized size, so the segment doubles;
+  // the popped frame's dirty words must read back zero all the same.
+  ASSERT_TRUE(Mem.growStack(3));
+  ASSERT_TRUE(Mem.growStack(9));
+  for (int64_t I = 0; I != 12; ++I) {
+    EXPECT_EQ(Mem.load(kStackBase + I), 0) << "word " << I;
+    Mem.store(kStackBase + I, -1);
+  }
+  Mem.shrinkStack(12);
+  ASSERT_TRUE(Mem.growStack(17)); // past the doubled size: grows again
+  for (int64_t I = 0; I != 17; ++I)
+    EXPECT_EQ(Mem.load(kStackBase + I), 0) << "word " << I;
+  EXPECT_EQ(Mem.getPeakStackWords(), 17);
+  EXPECT_FALSE(Mem.hasTrapped());
+}
+
+TEST(Memory, DefaultStackBudgetGrowsToExactLimit) {
+  const int64_t Limit = RunOptions().StackWords;
+  ASSERT_EQ(Limit, 1 << 22);
+  Memory Mem = makeMemory(Limit);
+  ASSERT_TRUE(Mem.growStack(Limit - 1));
+  ASSERT_TRUE(Mem.growStack(1));
+  EXPECT_EQ(Mem.load(kStackBase + Limit - 1), 0);
+  EXPECT_EQ(Mem.getPeakStackWords(), Limit);
+  EXPECT_FALSE(Mem.growStack(1));
+  EXPECT_TRUE(Mem.hasTrapped());
+  EXPECT_EQ(Mem.getTrapMessage(),
+            "control stack overflow (4194305 words needed, limit 4194304)");
+  EXPECT_EQ(Mem.getStackWordsInUse(), Limit);
+}
+
 TEST(Memory, StackAccessBeyondTopTraps) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 100);
+  Memory Mem = makeMemory(100);
   Mem.growStack(10);
   Mem.load(kStackBase + 10);
   EXPECT_TRUE(Mem.hasTrapped());
 }
 
 TEST(Memory, HeapBumpAllocationZeroed) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 64);
+  Memory Mem = makeMemory(64);
   int64_t A = Mem.allocateHeap(4);
   int64_t B = Mem.allocateHeap(4);
   EXPECT_EQ(A, kHeapBase);
@@ -114,15 +147,13 @@ TEST(Memory, HeapBumpAllocationZeroed) {
 }
 
 TEST(Memory, NegativeHeapRequestTraps) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 64);
+  Memory Mem = makeMemory(64);
   EXPECT_EQ(Mem.allocateHeap(-3), 0);
   EXPECT_TRUE(Mem.hasTrapped());
 }
 
 TEST(Memory, FunctionAddressesAreNotMemory) {
-  Module M = moduleWithGlobals();
-  Memory Mem(M, 64);
+  Memory Mem = makeMemory(64);
   Mem.load(encodeFuncAddr(0));
   EXPECT_TRUE(Mem.hasTrapped());
 }

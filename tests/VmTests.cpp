@@ -378,6 +378,34 @@ TEST(VmTrapParity, StackOverflowOnDeepRecursion) {
   EXPECT_NE(W.TrapMessage.find("stack"), std::string::npos);
 }
 
+TEST(VmTrapParity, StackOverflowAtDefaultBudget) {
+  // ~1000 words per activation, 10000 deep: overflows the default
+  // 4M-word budget, which both engines materialize only as frames push.
+  const char *Source = R"MC(
+extern int getchar();
+int deep(int n) {
+  int pad[1000];
+  pad[999] = n;
+  if (n == 0) return 0;
+  return deep(n - 1) + pad[999];
+}
+int main() { return deep(10000 + getchar()); }
+)MC";
+  Module M = test::compileOk(Source);
+  RunOptions Opts;
+  ASSERT_EQ(Opts.StackWords, 1 << 22);
+  ExecResult W = expectEnginesAgree(M, Opts, "default-budget overflow");
+  ExecResult V = runProgramVm(compileToBytecode(M), Opts);
+  EXPECT_EQ(W.St, ExecResult::Status::Trapped);
+  EXPECT_EQ(V.St, ExecResult::Status::Trapped);
+  EXPECT_EQ(W.TrapMessage, V.TrapMessage);
+  EXPECT_NE(W.TrapMessage.find("control stack overflow"), std::string::npos);
+  EXPECT_NE(W.TrapMessage.find("limit 4194304)"), std::string::npos);
+  EXPECT_EQ(W.Stats.PeakStackWords, V.Stats.PeakStackWords);
+  EXPECT_LE(W.Stats.PeakStackWords, Opts.StackWords);
+  EXPECT_GT(W.Stats.PeakStackWords, Opts.StackWords - 2000);
+}
+
 TEST(VmTrapParity, ExitIntrinsicShortCircuits) {
   const char *Source = R"MC(
 extern int exit(int code);
