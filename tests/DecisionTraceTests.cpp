@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace impact;
 using test::compileOk;
 
@@ -338,6 +340,12 @@ struct GoldenCase {
   const char *Benchmark;
   const char *Expected;
 };
+
+// Prints the benchmark name rather than the pointer bytes, so the ctest name
+// is the same on every discovery run.
+void PrintTo(const GoldenCase &C, std::ostream *OS) {
+  *OS << '"' << C.Benchmark << '"';
+}
 
 class DecisionTraceGolden : public ::testing::TestWithParam<GoldenCase> {};
 

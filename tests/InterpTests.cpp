@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace impact;
 using test::compileOk;
 using test::runSource;
@@ -34,6 +36,13 @@ struct BinOpCase {
   const char *Op;
   int64_t (*Eval)(int64_t, int64_t);
 };
+
+// gtest would otherwise print the raw bytes of the two pointers, which
+// change with every load address and so make the registered ctest names
+// differ from one discovery run to the next.
+void PrintTo(const BinOpCase &C, std::ostream *OS) {
+  *OS << '"' << C.Op << '"';
+}
 
 int64_t hostAdd(int64_t A, int64_t B) {
   return static_cast<int64_t>(static_cast<uint64_t>(A) +
