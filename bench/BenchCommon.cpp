@@ -6,7 +6,6 @@
 
 #include "BenchCommon.h"
 
-#include "driver/CompileServer.h"
 #include "driver/DecisionTrace.h"
 #include "profile/ProfileIO.h"
 #include "support/FaultInjection.h"
@@ -43,9 +42,6 @@ InstrumentMode ConfiguredInstrument =
 bool InstrumentConfigured = false;
 OptOptions ConfiguredPasses; // --passes= / IMPACT_PASSES
 bool PassesConfigured = false;
-std::string ConfiguredCacheDir; // --cache-dir= / IMPACT_CACHE_DIR
-CacheLoadStatus CacheStoreLoad = CacheLoadStatus::NoFile;
-bool CacheStoreAttached = false;
 AnalysisOptions ConfiguredAnalysis;
 size_t TotalWarnFindings = 0;  // across all batches
 size_t TotalErrorFindings = 0; // (error findings also quarantine units)
@@ -177,41 +173,9 @@ void applyPassesSpec(const char *What, const std::string &Text) {
   PassesConfigured = true;
 }
 
-/// Loads the persistent store into the shared cache and arranges the
-/// exit-time save. A stale or corrupt store is a cold start (the next
-/// save overwrites it), never an error — matching the compile server's
-/// semantics.
-void attachCacheStore() {
-  std::error_code Ec;
-  std::filesystem::create_directories(ConfiguredCacheDir, Ec);
-  std::string Detail;
-  CacheStoreLoad = getSharedDefinitionCache().loadFromFile(
-      getCacheStorePath(ConfiguredCacheDir), &Detail);
-  CacheStoreAttached = true;
-  if (!Detail.empty() && CacheStoreLoad != CacheLoadStatus::NoFile)
-    std::fprintf(stderr, "[bench] cache store: %s\n", Detail.c_str());
-  std::atexit([] { persistSharedDefinitionCache(); });
-}
-
-const char *cacheLoadStatusName(CacheLoadStatus Status) {
-  switch (Status) {
-  case CacheLoadStatus::Loaded:
-    return "loaded";
-  case CacheLoadStatus::NoFile:
-    return "cold start";
-  case CacheLoadStatus::Stale:
-    return "stale store rejected";
-  case CacheLoadStatus::Corrupt:
-    return "corrupt store rejected";
-  }
-  return "?";
-}
-
 } // namespace
 
 void impact::bench::initBenchHarness(int argc, char **argv) {
-  if (const char *Env = std::getenv("IMPACT_CACHE_DIR"))
-    ConfiguredCacheDir = Env;
   if (const char *Env = std::getenv("IMPACT_JOBS"))
     applyJobCount("IMPACT_JOBS", Env);
   if (const char *Env = std::getenv("IMPACT_FAULTS"))
@@ -253,11 +217,7 @@ void impact::bench::initBenchHarness(int argc, char **argv) {
       applyInstrumentSpec("--instrument", Value);
     else if (matchOption(argv[I], "passes", Value))
       applyPassesSpec("--passes", Value);
-    else if (matchOption(argv[I], "cache-dir", Value))
-      ConfiguredCacheDir = Value;
   }
-  if (!ConfiguredCacheDir.empty())
-    attachCacheStore();
 }
 
 unsigned impact::bench::getConfiguredJobs() { return ConfiguredJobs; }
@@ -293,22 +253,6 @@ const AnalysisOptions &impact::bench::getConfiguredAnalysisOptions() {
 FunctionDefinitionCache &impact::bench::getSharedDefinitionCache() {
   static FunctionDefinitionCache Cache;
   return Cache;
-}
-
-const std::string &impact::bench::getConfiguredCacheDir() {
-  return ConfiguredCacheDir;
-}
-
-bool impact::bench::persistSharedDefinitionCache() {
-  if (ConfiguredCacheDir.empty())
-    return true;
-  std::string Error;
-  if (getSharedDefinitionCache().saveToFile(
-          getCacheStorePath(ConfiguredCacheDir), &Error))
-    return true;
-  std::fprintf(stderr, "[bench] cache store save failed: %s\n",
-               Error.c_str());
-  return false;
 }
 
 unsigned impact::bench::countSourceLines(const std::string &Source) {
@@ -540,13 +484,6 @@ std::string impact::bench::renderBenchFooter() {
          formatPercent(Cache.getHitRate() * 100.0) + "), " +
          std::to_string(Cache.Entries) + " entries, " +
          std::to_string(Cache.InstrsServed) + " cached IL served\n";
-  // The cache-store line appears only when a store is attached — and
-  // then the [cache] counters above are cross-process lifetime numbers
-  // (loadFromFile seeds them from the store), not per-invocation ones.
-  if (CacheStoreAttached)
-    Out += std::string("[cache-store] ") + cacheLoadStatusName(CacheStoreLoad) +
-           ", " + std::to_string(Cache.PersistentHits) +
-           " persistent hit(s) served, saved at exit\n";
   // The engine line appears only when an engine was configured
   // explicitly, so default footers stay bit-identical to the previous
   // format.

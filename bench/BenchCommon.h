@@ -94,16 +94,6 @@ struct SuiteRun {
 ///                     Strictly parsed; an unknown pass name aborts with
 ///                     exit code 2 — a typo never silently benchmarks the
 ///                     wrong pipeline
-///   --cache-dir=DIR   attach the shared function-definition cache to the
-///                     persistent store "DIR/functions.impact-cache"
-///                     (support/CacheStore.h; also the IMPACT_CACHE_DIR
-///                     environment variable). The store is loaded here —
-///                     stale or corrupt stores are a cold start, never an
-///                     error — and saved atomically at process exit, so a
-///                     second bench invocation reuses this one's pre-opt
-///                     work and the [cache] footer reports cross-process
-///                     lifetime counters instead of resetting per
-///                     invocation
 void initBenchHarness(int argc, char **argv);
 
 /// The installed worker count; 0 means one per hardware thread.
@@ -144,19 +134,8 @@ bool arePassesConfigured();
 const AnalysisOptions &getConfiguredAnalysisOptions();
 
 /// The process-wide function-definition cache shared by every suite batch
-/// this bench runs (ablation sweeps hit it across configurations). When
-/// --cache-dir= / IMPACT_CACHE_DIR is set it is backed by the on-disk
-/// store: loaded in initBenchHarness, saved at exit.
+/// this bench runs (ablation sweeps hit it across configurations).
 FunctionDefinitionCache &getSharedDefinitionCache();
-
-/// The installed persistent cache directory (--cache-dir= /
-/// IMPACT_CACHE_DIR); empty when the cache is in-memory only.
-const std::string &getConfiguredCacheDir();
-
-/// Saves the shared cache to the configured store now (atomic
-/// temp+rename; also runs automatically at exit). True when no store is
-/// configured or the save landed.
-bool persistSharedDefinitionCache();
 
 /// One BatchJob per suite benchmark (\p RunsOverride 0 = Table 1 runs).
 std::vector<BatchJob> makeSuiteBatchJobs(const PipelineOptions &Options =

@@ -6,35 +6,25 @@
 ///
 /// \file
 /// The compile-server experiment: how much of the world does one edit
-/// recompile, and what does a persistent cache buy a restarted server?
+/// recompile?
 ///
-/// Three phases over the 12-program suite (one unit per program, one
-/// profiled run each):
+/// Two phases over the 12-program suite (one unit per program, one
+/// profiled run each), on one server:
 ///
-///   cold      a fresh server with an empty cache directory compiles
-///             everything (touched units == suite size)
+///   cold      a fresh server compiles everything (touched units == suite
+///             size)
 ///   warm-edit one unit ("wc") is replaced; the recompile touches exactly
 ///             that unit and serves the other 11 programs from the
 ///             result cache (touched units == 1 — the number, not a
 ///             timing, is the incrementality claim)
-///   restart   a brand-new server over the same cache directory rebuilds
-///             the same programs; its pre-opt work is served from the
-///             persisted store (persistent hits > 0 — observable
-///             cross-process reuse)
 ///
 /// Flags (plus the shared harness flags — --jobs, --faults, ...):
 ///
 ///   --bench-json=FILE   write the committed BENCH_server.json point
 ///                       (atomic temp+rename, like every bench artifact)
-///   --cache-dir=DIR     store directory for the experiment and for
-///                       --serve-script (default: a scratch directory,
-///                       wiped for a honest cold phase)
 ///   --serve-script=FILE drive a server from a request script
 ///                       (driver/ServerScript.h grammar) and print the
-///                       transcript; exit 2 on a malformed script. CI's
-///                       two-process smoke runs one script twice over a
-///                       shared --cache-dir and asserts the second
-///                       process reports persistent hits
+///                       transcript; exit 2 on a malformed script
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,10 +33,8 @@
 #include "driver/ServerScript.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -63,9 +51,8 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-ServerOptions makeServerOptions(const std::string &CacheDir) {
+ServerOptions makeServerOptions() {
   ServerOptions Options;
-  Options.CacheDir = CacheDir;
   Options.Jobs = getConfiguredJobs();
   Options.Pipeline.Faults = getConfiguredFaults();
   return Options;
@@ -99,70 +86,42 @@ PhaseNumbers timedRecompile(CompileServer &Server) {
   return Phase;
 }
 
-/// The cold/warm-edit/restart experiment. Returns 0 on success and fills
-/// the phase numbers.
-int runExperiment(const std::string &CacheDir, PhaseNumbers &Cold,
-                  PhaseNumbers &WarmEdit, PhaseNumbers &Restart,
-                  uint64_t &RestartPersistentHits,
+/// The cold/warm-edit experiment. Returns 0 on success and fills the
+/// phase numbers and the server's final cache counters.
+int runExperiment(PhaseNumbers &Cold, PhaseNumbers &WarmEdit,
                   FunctionCacheStats &FinalCache) {
-  std::filesystem::remove_all(CacheDir); // honest cold phase
   size_t Programs = getBenchmarkSuite().size();
-  {
-    CompileServer Server(makeServerOptions(CacheDir));
-    if (!loadSuite(Server))
-      return 1;
-    Cold = timedRecompile(Server);
-    if (Cold.Stats.FailedPrograms != 0 ||
-        Cold.Stats.RecompiledPrograms != Programs) {
-      std::fprintf(stderr, "perf_compile_server: cold phase failed (%llu ok, "
-                           "%llu failed)\n",
-                   (unsigned long long)Cold.Stats.RecompiledPrograms,
-                   (unsigned long long)Cold.Stats.FailedPrograms);
-      return 1;
-    }
+  CompileServer Server(makeServerOptions());
+  if (!loadSuite(Server))
+    return 1;
+  Cold = timedRecompile(Server);
+  if (Cold.Stats.FailedPrograms != 0 ||
+      Cold.Stats.RecompiledPrograms != Programs) {
+    std::fprintf(stderr, "perf_compile_server: cold phase failed (%llu ok, "
+                         "%llu failed)\n",
+                 (unsigned long long)Cold.Stats.RecompiledPrograms,
+                 (unsigned long long)Cold.Stats.FailedPrograms);
+    return 1;
+  }
 
-    const BenchmarkSpec *Wc = findBenchmark("wc");
-    std::string Edited =
-        Wc->Source + "\nint perf_server_pad(int x) { return x + 41; }\n";
-    std::string Error;
-    if (!Server.replaceUnit("wc", Edited, &Error)) {
-      std::fprintf(stderr, "perf_compile_server: %s\n", Error.c_str());
-      return 1;
-    }
-    WarmEdit = timedRecompile(Server);
-    if (WarmEdit.Stats.TouchedUnits != 1 ||
-        WarmEdit.Stats.FailedPrograms != 0) {
-      std::fprintf(stderr,
-                   "perf_compile_server: warm edit touched %llu unit(s), "
-                   "expected exactly 1\n",
-                   (unsigned long long)WarmEdit.Stats.TouchedUnits);
-      return 1;
-    }
-    // Destructor persists the store for the restart phase.
+  const BenchmarkSpec *Wc = findBenchmark("wc");
+  std::string Edited =
+      Wc->Source + "\nint perf_server_pad(int x) { return x + 41; }\n";
+  std::string Error;
+  if (!Server.replaceUnit("wc", Edited, &Error)) {
+    std::fprintf(stderr, "perf_compile_server: %s\n", Error.c_str());
+    return 1;
   }
-  {
-    CompileServer Server(makeServerOptions(CacheDir));
-    if (Server.getInitialCacheStatus() != CacheLoadStatus::Loaded) {
-      std::fprintf(stderr,
-                   "perf_compile_server: restart did not load the store\n");
-      return 1;
-    }
-    if (!loadSuite(Server))
-      return 1;
-    Restart = timedRecompile(Server);
-    if (Restart.Stats.FailedPrograms != 0) {
-      std::fprintf(stderr, "perf_compile_server: restart phase failed\n");
-      return 1;
-    }
-    FinalCache = Server.getCacheStats();
-    RestartPersistentHits = FinalCache.PersistentHits;
-    if (RestartPersistentHits == 0) {
-      std::fprintf(stderr, "perf_compile_server: restart served no "
-                           "persistent hits — the store round trip is "
-                           "broken\n");
-      return 1;
-    }
+  WarmEdit = timedRecompile(Server);
+  if (WarmEdit.Stats.TouchedUnits != 1 ||
+      WarmEdit.Stats.FailedPrograms != 0) {
+    std::fprintf(stderr,
+                 "perf_compile_server: warm edit touched %llu unit(s), "
+                 "expected exactly 1\n",
+                 (unsigned long long)WarmEdit.Stats.TouchedUnits);
+    return 1;
   }
+  FinalCache = Server.getCacheStats();
   return 0;
 }
 
@@ -180,12 +139,10 @@ void appendPhaseJson(std::string &Out, const char *Name,
   Out += "}";
 }
 
-int writeBenchJson(const std::string &Path, const std::string &CacheDir) {
-  PhaseNumbers Cold, WarmEdit, Restart;
-  uint64_t PersistentHits = 0;
+int writeBenchJson(const std::string &Path) {
+  PhaseNumbers Cold, WarmEdit;
   FunctionCacheStats Cache;
-  if (int Rc = runExperiment(CacheDir, Cold, WarmEdit, Restart,
-                             PersistentHits, Cache))
+  if (int Rc = runExperiment(Cold, WarmEdit, Cache))
     return Rc;
 
   std::string Json = "{\n  \"bench\": \"server\",\n";
@@ -195,22 +152,11 @@ int writeBenchJson(const std::string &Path, const std::string &CacheDir) {
   appendPhaseJson(Json, "warm_edit", WarmEdit, /*WithClean=*/true);
   Json += ",\n";
   appendFormat(Json,
-               "  \"restart\": {\"wall_s\": %.3f, \"persistent_hits\": %llu, "
-               "\"cache_entries\": %llu},\n",
-               Restart.WallSeconds, (unsigned long long)PersistentHits,
-               (unsigned long long)Cache.Entries);
-  appendFormat(Json,
                "  \"cache\": {\"hits\": %llu, \"misses\": %llu, "
-               "\"entries\": %llu, \"evictions\": %llu, "
-               "\"stale_rejected\": %llu, \"corrupt_rejected\": %llu, "
-               "\"persistent_hits\": %llu}\n}\n",
+               "\"entries\": %llu}\n}\n",
                (unsigned long long)Cache.Hits,
                (unsigned long long)Cache.Misses,
-               (unsigned long long)Cache.Entries,
-               (unsigned long long)Cache.Evictions,
-               (unsigned long long)Cache.StaleRejected,
-               (unsigned long long)Cache.CorruptRejected,
-               (unsigned long long)Cache.PersistentHits);
+               (unsigned long long)Cache.Entries);
 
   std::string Error;
   if (!writeFileAtomic(Path, Json, &Error)) {
@@ -219,17 +165,16 @@ int writeBenchJson(const std::string &Path, const std::string &CacheDir) {
   }
   std::fprintf(stderr,
                "bench-json: cold %.3fs (%llu units) / warm edit %.3fs "
-               "(%llu unit) / restart %.3fs (%llu persistent hits) -> %s\n",
+               "(%llu unit) -> %s\n",
                Cold.WallSeconds,
                (unsigned long long)Cold.Stats.TouchedUnits,
                WarmEdit.WallSeconds,
                (unsigned long long)WarmEdit.Stats.TouchedUnits,
-               Restart.WallSeconds, (unsigned long long)PersistentHits,
                Path.c_str());
   return 0;
 }
 
-int runScript(const std::string &Path, const std::string &CacheDir) {
+int runScript(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   if (!In) {
     std::fprintf(stderr, "serve-script: cannot open '%s'\n", Path.c_str());
@@ -238,7 +183,7 @@ int runScript(const std::string &Path, const std::string &CacheDir) {
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
 
-  CompileServer Server(makeServerOptions(CacheDir));
+  CompileServer Server(makeServerOptions());
   ServerScriptResult Result = runServerScript(Server, Buffer.str());
   std::fputs(Result.Transcript.c_str(), stdout);
   if (!Result.Ok) {
@@ -248,23 +193,10 @@ int runScript(const std::string &Path, const std::string &CacheDir) {
   return 0;
 }
 
-std::string defaultCacheDir() {
-  return (std::filesystem::temp_directory_path() / "impact_server_bench")
-      .string();
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
-  // Here --cache-dir= / IMPACT_CACHE_DIR name the SERVER's store, not the
-  // harness's shared-cache store: both caches saving the same file would
-  // have whichever exits last clobber the other's entries. Claim the
-  // setting before the harness sees it.
-  std::string JsonPath, ScriptPath, CacheDir;
-  if (const char *Env = std::getenv("IMPACT_CACHE_DIR")) {
-    CacheDir = Env;
-    unsetenv("IMPACT_CACHE_DIR");
-  }
+  std::string JsonPath, ScriptPath;
   std::vector<char *> HarnessArgs;
   for (int I = 0; I != argc; ++I) {
     const std::string Arg = argv[I];
@@ -272,25 +204,19 @@ int main(int argc, char **argv) {
       JsonPath = Arg.substr(std::strlen("--bench-json="));
     else if (Arg.rfind("--serve-script=", 0) == 0)
       ScriptPath = Arg.substr(std::strlen("--serve-script="));
-    else if (Arg.rfind("--cache-dir=", 0) == 0)
-      CacheDir = Arg.substr(std::strlen("--cache-dir="));
     else
       HarnessArgs.push_back(argv[I]);
   }
   initBenchHarness(static_cast<int>(HarnessArgs.size()), HarnessArgs.data());
   if (!ScriptPath.empty())
-    return runScript(ScriptPath, CacheDir);
-  if (CacheDir.empty())
-    CacheDir = defaultCacheDir();
+    return runScript(ScriptPath);
   if (!JsonPath.empty())
-    return writeBenchJson(JsonPath, CacheDir);
+    return writeBenchJson(JsonPath);
 
   // No flags: run the experiment and print the numbers.
-  PhaseNumbers Cold, WarmEdit, Restart;
-  uint64_t PersistentHits = 0;
+  PhaseNumbers Cold, WarmEdit;
   FunctionCacheStats Cache;
-  if (int Rc = runExperiment(CacheDir, Cold, WarmEdit, Restart,
-                             PersistentHits, Cache))
+  if (int Rc = runExperiment(Cold, WarmEdit, Cache))
     return Rc;
   std::printf("cold      %.3fs  touched=%llu recompiled=%llu\n",
               Cold.WallSeconds,
@@ -301,8 +227,9 @@ int main(int argc, char **argv) {
               (unsigned long long)WarmEdit.Stats.TouchedUnits,
               (unsigned long long)WarmEdit.Stats.RecompiledPrograms,
               (unsigned long long)WarmEdit.Stats.CleanPrograms);
-  std::printf("restart   %.3fs  persistent-hits=%llu entries=%llu\n",
-              Restart.WallSeconds, (unsigned long long)PersistentHits,
+  std::printf("cache     hits=%llu misses=%llu entries=%llu\n",
+              (unsigned long long)Cache.Hits,
+              (unsigned long long)Cache.Misses,
               (unsigned long long)Cache.Entries);
   return 0;
 }

@@ -283,20 +283,31 @@ BENCHMARK(BM_BatchPipelineSuite)
     ->Unit(benchmark::kMillisecond);
 
 // The ablation-sweep shape: the same suite recompiled many times (here,
-// once per iteration) against a persistent function-definition cache.
-// Arg(1) keeps the cache across iterations — after the first, every
-// pre-opt body is served from cache; Arg(0) disables caching.
+// once per iteration). Arg(1) keeps one function-definition cache across
+// iterations — after the first, every pre-opt body is served from cache;
+// Arg(0) runs each job through the serial runPipeline, which attaches no
+// cache.
 void BM_SuiteSweepDefinitionCache(benchmark::State &State) {
   bool UseCache = State.range(0) != 0;
   std::vector<BatchJob> Jobs = makeSuiteJobs(/*Runs=*/2);
   FunctionDefinitionCache Cache;
   uint64_t Hits = 0, Misses = 0;
   for (auto _ : State) {
+    if (!UseCache) {
+      for (const BatchJob &Job : Jobs) {
+        PipelineResult R =
+            runPipeline(Job.Source, Job.Name, Job.Inputs, Job.Options);
+        if (!R.Ok) {
+          State.SkipWithError("pipeline job failed");
+          return;
+        }
+        benchmark::DoNotOptimize(R.Ok);
+      }
+      continue;
+    }
     BatchOptions Options;
     Options.Jobs = 1;
-    Options.UseDefinitionCache = UseCache;
-    if (UseCache)
-      Options.ExternalCache = &Cache;
+    Options.ExternalCache = &Cache;
     BatchResult R = runBatchPipeline(Jobs, Options);
     if (!R.allOk()) {
       State.SkipWithError("batch pipeline job failed");
@@ -410,12 +421,8 @@ int writeBenchJson(const std::string &Path) {
   bench::appendFormat(Json, "  \"superinstructions\": {\n");
   bench::appendFormat(Json, "    \"static_cmp_br\": %llu,\n",
                       static_cast<unsigned long long>(Static.FusedCmpBr));
-  bench::appendFormat(Json, "    \"static_load_op_store\": %llu,\n",
-                      static_cast<unsigned long long>(Static.FusedLoadOpStore));
   bench::appendFormat(Json, "    \"dynamic_cmp_br\": %llu,\n",
                       static_cast<unsigned long long>(Dynamic.FusedCmpBr));
-  bench::appendFormat(Json, "    \"dynamic_load_op_store\": %llu,\n",
-                      static_cast<unsigned long long>(Dynamic.FusedLoadOpStore));
   bench::appendFormat(Json, "    \"fused_step_fraction\": %.4f\n",
                       Dynamic.getFusedStepFraction());
   bench::appendFormat(Json, "  }\n");

@@ -12,7 +12,7 @@
 ///   pgo_pipeline [benchmark] [threshold] [growth-factor] [stack-bound]
 ///                [--trace] [--trace-out=FILE] [--analyze[=RULES]]
 ///                [--profile-out=FILE] [--profile-in=FILE]
-///                [--instrument=full|mincover]
+///                [--instrument=full|mincover] [--help]
 ///   e.g. pgo_pipeline compress 10 1.25 2048 --trace
 ///
 /// --trace prints the planner's per-site decision table (why each call
@@ -52,6 +52,12 @@ bool matchOption(const char *Arg, const char *Name, std::string &Value) {
   return true;
 }
 
+const char *const kUsage =
+    "usage: pgo_pipeline [benchmark] [threshold] [growth-factor] "
+    "[stack-bound] [--trace] [--trace-out=FILE] [--analyze[=RULES]] "
+    "[--profile-out=FILE] [--profile-in=FILE] "
+    "[--instrument=full|mincover] [--help]\n";
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -70,7 +76,11 @@ int main(int argc, char **argv) {
   std::vector<const char *> Positional;
   for (int I = 1; I < argc; ++I) {
     std::string Value;
-    if (std::strcmp(argv[I], "--trace") == 0)
+    if (std::strcmp(argv[I], "--help") == 0 ||
+        std::strcmp(argv[I], "-h") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else if (std::strcmp(argv[I], "--trace") == 0)
       PrintTrace = true;
     else if (std::strcmp(argv[I], "--analyze") == 0)
       Analyze = true;
@@ -95,7 +105,7 @@ int main(int argc, char **argv) {
       ProfileInPath = Value;
     else if (std::strncmp(argv[I], "--", 2) == 0) {
       // A typo'd flag must not silently become the threshold positional.
-      std::fprintf(stderr, "unknown option '%s'\n", argv[I]);
+      std::fprintf(stderr, "unknown option '%s'\n%s", argv[I], kUsage);
       return 2;
     } else
       Positional.push_back(argv[I]);

@@ -29,9 +29,8 @@ BatchResult impact::runBatchPipeline(const std::vector<BatchJob> &Jobs,
   Result.Results.resize(Jobs.size());
 
   FunctionDefinitionCache LocalCache;
-  FunctionDefinitionCache *Cache = Options.ExternalCache;
-  if (!Cache && Options.UseDefinitionCache)
-    Cache = &LocalCache;
+  FunctionDefinitionCache *Cache =
+      Options.ExternalCache ? Options.ExternalCache : &LocalCache;
 
   Stopwatch Wall;
   {
@@ -91,8 +90,7 @@ BatchResult impact::runBatchPipeline(const std::vector<BatchJob> &Jobs,
       F.Detail = R.Error;
     Result.Failures.push_back(std::move(F));
   }
-  if (Cache)
-    Result.Cache = Cache->getStats();
+  Result.Cache = Cache->getStats();
   return Result;
 }
 

@@ -65,11 +65,9 @@ struct BatchJob {
 struct BatchOptions {
   /// Worker threads; 0 = one per hardware thread.
   unsigned Jobs = 0;
-  /// Share a function-definition cache across the batch's pre-opt stages.
-  bool UseDefinitionCache = true;
-  /// Use this cache instead of a batch-local one, e.g. to persist entries
-  /// across the successive batches of an ablation sweep. Overrides
-  /// UseDefinitionCache.
+  /// The batch's pre-opt stages always share a function-definition
+  /// cache: this one when set (e.g. to keep entries across the successive
+  /// batches of an ablation sweep), otherwise a batch-local one.
   FunctionDefinitionCache *ExternalCache = nullptr;
 };
 

@@ -10,48 +10,12 @@
 #include "driver/Linker.h"
 #include "support/FaultInjection.h"
 
-#include <filesystem>
 #include <new>
 #include <utility>
 
 using namespace impact;
 
-std::string impact::getCacheStorePath(const std::string &CacheDir) {
-  if (CacheDir.empty())
-    return "";
-  std::string Path = CacheDir;
-  if (Path.back() != '/')
-    Path += '/';
-  return Path + "functions.impact-cache";
-}
-
-CompileServer::CompileServer(ServerOptions Opts) : Options(std::move(Opts)) {
-  if (Options.CacheCapacity != 0)
-    Cache.setCapacity(Options.CacheCapacity);
-  if (!Options.CacheDir.empty()) {
-    // Make sure the store has somewhere to land; a failure here surfaces
-    // as a quarantined cache-persist on the first save, not a crash.
-    std::error_code Ec;
-    std::filesystem::create_directories(Options.CacheDir, Ec);
-    std::string Detail;
-    InitialCacheStatus =
-        Cache.loadFromFile(getCacheStorePath(Options.CacheDir), &Detail);
-    // Stale and corrupt stores are a cold start, not an error: the cache
-    // rebuilds and the next save overwrites the bad store. Nothing to
-    // quarantine — loadFromFile already counted the rejection.
-  }
-}
-
-CompileServer::~CompileServer() {
-  if (Options.CacheDir.empty())
-    return;
-  try {
-    persistCache();
-  } catch (...) {
-    // Destructors must not throw; a failed final save costs the next
-    // process a cold start, never correctness.
-  }
-}
+CompileServer::CompileServer(ServerOptions Opts) : Options(std::move(Opts)) {}
 
 bool CompileServer::addUnit(const std::string &Name, std::string Source,
                             std::string *Error) {
@@ -316,7 +280,7 @@ RecompileStats CompileServer::recompile(const std::string &Target,
   }
 
   // Pass 2: run every rebuilt program's pipeline as one batch over the
-  // persistent cache. Job order is program-definition order, so results
+  // server's cache. Job order is program-definition order, so results
   // are independent of the thread count.
   if (!Jobs.empty()) {
     BatchOptions Batch;
@@ -341,9 +305,6 @@ RecompileStats CompileServer::recompile(const std::string &Target,
 
   Stats.TouchedUnits = Touched.size();
   Stats.TouchedUnitNames.assign(Touched.begin(), Touched.end());
-
-  if (!Options.CacheDir.empty())
-    persistCache();
   return Stats;
 }
 
@@ -353,34 +314,4 @@ const PipelineResult *CompileServer::getResult(
   if (It == Programs.end() || !It->second.HasResult)
     return nullptr;
   return &It->second.Result;
-}
-
-bool CompileServer::persistCache() {
-  if (Options.CacheDir.empty())
-    return true;
-  ++SaveCount;
-  FaultSession Session(Options.Pipeline.Faults, "server", SaveCount);
-  UnitFailure Failure{"server", "cache-persist", "", "", 1};
-  std::string SaveError;
-  try {
-    if (Cache.saveToFile(getCacheStorePath(Options.CacheDir), &SaveError,
-                         &Session))
-      return true;
-    Failure.Reason = "diagnostic";
-    Failure.Detail = SaveError;
-  } catch (const FaultInjectedError &E) {
-    // A mid-write crash: the temp file may be left behind, but the
-    // previous store was never touched (temp+rename), so the server and
-    // any other process keep a consistent view.
-    Failure.Reason = "fault-injected";
-    Failure.Detail = E.what();
-  } catch (const std::bad_alloc &) {
-    Failure.Reason = "oom";
-    Failure.Detail = "allocation failure";
-  } catch (const std::exception &E) {
-    Failure.Reason = "exception";
-    Failure.Detail = E.what();
-  }
-  recordFailure(std::move(Failure));
-  return false;
 }

@@ -1,11 +1,11 @@
-//===- driver/CompileServer.h - Persistent incremental pipeline ------------===//
+//===- driver/CompileServer.h - Incremental compile session ----------------===//
 //
 // Part of the impact-inline project, distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A compile server: a persistent session that accepts unit-level requests
+/// A compile server: a long-lived session that accepts unit-level requests
 /// (add/replace/remove a translation unit, define a program over units,
 /// recompile, query results) and keeps the module graph and the
 /// function-definition cache alive across requests. Where the batch
@@ -23,9 +23,8 @@
 ///  - Programs whose member units are all clean are served from the
 ///    program-level result cache without running anything.
 ///  - Per-function pre-opt work inside a recompiled program still hits
-///    the shared FunctionDefinitionCache, which the server persists to
-///    ServerOptions::CacheDir (support/CacheStore.h) so a restarted
-///    server — or a second process — reuses prior work.
+///    the server's in-memory FunctionDefinitionCache, so an edit re-runs
+///    pre-opt only on the bodies it changed.
 ///
 /// Determinism contract: every frontend compile, link, and pipeline stage
 /// is deterministic, and cache hits are bit-identical to recomputation,
@@ -38,10 +37,8 @@
 /// to compile, a program that fails to link, and a pipeline attempt that
 /// faults are each quarantined as a UnitFailure; the failing unit/program
 /// stays dirty so the next recompile retries it (transient faults
-/// recover), every other program completes untouched, and neither the
-/// in-memory cache nor the on-disk store is ever poisoned. A failed
-/// cache persist (site "cache-persist") quarantines as unit "server" and
-/// never kills the session.
+/// recover), every other program completes untouched, and the cache is
+/// never poisoned.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,20 +56,13 @@
 namespace impact {
 
 struct ServerOptions {
-  /// Directory holding the persistent function-definition cache
-  /// ("<CacheDir>/functions.impact-cache"). Loaded (if present and
-  /// fresh) at construction; saved after every recompile and at
-  /// destruction. Empty = in-memory only.
-  std::string CacheDir;
   /// Worker threads for each recompile's program batch; 0 = one per
   /// hardware thread.
   unsigned Jobs = 1;
   /// Pipeline knobs applied to every program. DefCache is overridden by
-  /// the server's own persistent cache; Faults (when set) also covers the
-  /// server's unit compiles and cache persists.
+  /// the server's own cache; Faults (when set) also covers the server's
+  /// unit compiles.
   PipelineOptions Pipeline;
-  /// Forwarded to FunctionDefinitionCache::setCapacity (0 = unbounded).
-  uint64_t CacheCapacity = 0;
 };
 
 /// What one recompile request did. All counters are per-request.
@@ -96,9 +86,6 @@ struct RecompileStats {
 class CompileServer {
 public:
   explicit CompileServer(ServerOptions Options = ServerOptions());
-  /// Persists the cache (best effort, exceptions contained) when
-  /// CacheDir is set.
-  ~CompileServer();
 
   CompileServer(const CompileServer &) = delete;
   CompileServer &operator=(const CompileServer &) = delete;
@@ -126,9 +113,9 @@ public:
 
   /// Recompiles \p Target ("*" = every program): compiles dirty member
   /// units once each, relinks and re-runs the pipeline of every dirty
-  /// selected program (ServerOptions::Jobs at a time), and persists the
-  /// cache when CacheDir is set. Clean programs are untouched. Fails
-  /// (empty stats + \p Error) only for an unknown target.
+  /// selected program (ServerOptions::Jobs at a time). Clean programs
+  /// are untouched. Fails (empty stats + \p Error) only for an unknown
+  /// target.
   RecompileStats recompile(const std::string &Target = "*",
                            std::string *Error = nullptr);
 
@@ -139,20 +126,11 @@ public:
   /// its reverse-transitive dependents, sorted. Edges come from the last
   /// compiled module of each unit.
   std::vector<std::string> getDependents(const std::string &Unit) const;
-  /// Cumulative quarantine log (unit, link, pipeline, and cache-persist
-  /// failures), in occurrence order.
+  /// Cumulative quarantine log (unit, link, and pipeline failures), in
+  /// occurrence order.
   const std::vector<UnitFailure> &getFailures() const { return Failures; }
 
-  FunctionDefinitionCache &getCache() { return Cache; }
   FunctionCacheStats getCacheStats() const { return Cache.getStats(); }
-  /// How the on-disk store loaded at construction (NoFile when CacheDir
-  /// is empty or the store didn't exist yet).
-  CacheLoadStatus getInitialCacheStatus() const { return InitialCacheStatus; }
-
-  /// Saves the cache store now (atomic temp+rename). False on failure —
-  /// which is also quarantined in getFailures() as unit "server", stage
-  /// "cache-persist" — with the store on disk left intact.
-  bool persistCache();
 
 private:
   struct UnitState {
@@ -194,19 +172,13 @@ private:
 
   ServerOptions Options;
   FunctionDefinitionCache Cache;
-  CacheLoadStatus InitialCacheStatus = CacheLoadStatus::NoFile;
   std::map<std::string, UnitState> Units;
   std::map<std::string, ProgramState> Programs;
   /// Definition order of programs — recompile processes (and the batch
   /// runs) in this order so results are schedule-independent.
   std::vector<std::string> ProgramOrder;
   std::vector<UnitFailure> Failures;
-  /// Save index: the FaultSession attempt number for cache-persist rules.
-  unsigned SaveCount = 0;
 };
-
-/// Path of the store file inside a cache directory.
-std::string getCacheStorePath(const std::string &CacheDir);
 
 } // namespace impact
 

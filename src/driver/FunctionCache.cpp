@@ -7,20 +7,8 @@
 #include "driver/FunctionCache.h"
 
 #include "ir/IrPrinter.h"
-#include "support/CacheStore.h"
-
-#include <algorithm>
-#include <charconv>
 
 using namespace impact;
-
-FunctionDefinitionCache::FunctionDefinitionCache(unsigned ShardCount) {
-  if (ShardCount == 0)
-    ShardCount = 1;
-  Shards.reserve(ShardCount);
-  for (unsigned I = 0; I != ShardCount; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-}
 
 std::string FunctionDefinitionCache::makeKey(const Function &F,
                                              const OptOptions &Opts) {
@@ -78,41 +66,9 @@ std::string FunctionDefinitionCache::makeKey(const Function &F,
   return Key;
 }
 
-std::string FunctionDefinitionCache::getOptionsFingerprint() {
-  // Ties a store to the two format-bearing enums the payload depends on:
-  // the OptOptions layout behind makeKey's option fingerprint and the
-  // opcode numbering the body serialization writes. Either changing
-  // makes old stores Stale instead of misinterpreted.
-  return "opts" + std::to_string(sizeof(OptOptions)) + "-ops" +
-         std::to_string(static_cast<int>(Opcode::Ret) + 1);
-}
-
 FunctionDefinitionCache::Shard &
 FunctionDefinitionCache::shardFor(const Hash128 &Key) const {
-  return *Shards[Key.Hi % Shards.size()];
-}
-
-uint64_t FunctionDefinitionCache::perShardCapacity() const {
-  uint64_t Cap = Capacity.load(std::memory_order_relaxed);
-  if (Cap == 0)
-    return 0;
-  uint64_t Per = Cap / Shards.size();
-  return Per == 0 ? 1 : Per;
-}
-
-void FunctionDefinitionCache::setCapacity(uint64_t MaxEntries) {
-  Capacity.store(MaxEntries, std::memory_order_relaxed);
-  uint64_t Per = perShardCapacity();
-  if (Per == 0)
-    return;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    while (S->Map.size() > Per && !S->Order.empty()) {
-      S->Map.erase(S->Order.front());
-      S->Order.pop_front();
-      Evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  return Shards[Key.Hi % kShardCount];
 }
 
 bool FunctionDefinitionCache::lookup(const std::string &Key, Function &F) {
@@ -130,28 +86,8 @@ bool FunctionDefinitionCache::lookup(const std::string &Key, Function &F) {
   F.Blocks = Body.Blocks;
   F.RegNames = Body.RegNames;
   Hits.fetch_add(1, std::memory_order_relaxed);
-  if (Body.FromDisk)
-    PersistentHits.fetch_add(1, std::memory_order_relaxed);
   InstrsServed.fetch_add(Body.Size, std::memory_order_relaxed);
   return true;
-}
-
-void FunctionDefinitionCache::insertBody(const Hash128 &Key,
-                                         CachedBody Body) {
-  Shard &S = shardFor(Key);
-  uint64_t Per = perShardCapacity();
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto [It, Inserted] = S.Map.emplace(Key, std::move(Body));
-  if (!Inserted)
-    return;
-  S.Order.push_back(Key);
-  // FIFO displacement. Order only ever holds live keys (eviction is the
-  // sole eraser and pops as it erases), so the front is always present.
-  while (Per != 0 && S.Map.size() > Per) {
-    S.Map.erase(S.Order.front());
-    S.Order.pop_front();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 void FunctionDefinitionCache::insert(const std::string &Key,
@@ -169,295 +105,31 @@ void FunctionDefinitionCache::insert(const std::string &Key,
   Body.Blocks = F.Blocks;
   Body.RegNames = F.RegNames;
   Body.Size = F.size();
-  insertBody(hash128(Key), std::move(Body));
-}
-
-//===----------------------------------------------------------------------===//
-// Body payload (de)serialization
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Text encoding of one CachedBody, line-oriented:
-///   h <NumRegs> <FrameSize> <Size> <nBlocks> <nRegNames>
-///   b <nInstrs>                        (per block)
-///   i <op> <dst> <s1> <s2> <imm> <t> <t2> <callee> <site> <nargs> [args]
-///   r<name>                            (per register name; may be empty)
-std::string serializeBody(uint32_t NumRegs, int64_t FrameSize,
-                          uint64_t Size,
-                          const std::vector<BasicBlock> &Blocks,
-                          const std::vector<std::string> &RegNames) {
-  std::string Out;
-  Out += "h " + std::to_string(NumRegs) + " " + std::to_string(FrameSize) +
-         " " + std::to_string(Size) + " " + std::to_string(Blocks.size()) +
-         " " + std::to_string(RegNames.size()) + "\n";
-  for (const BasicBlock &B : Blocks) {
-    Out += "b " + std::to_string(B.Instrs.size()) + "\n";
-    for (const Instr &I : B.Instrs) {
-      Out += "i " + std::to_string(static_cast<int>(I.Op)) + " " +
-             std::to_string(I.Dst) + " " + std::to_string(I.Src1) + " " +
-             std::to_string(I.Src2) + " " + std::to_string(I.Imm) + " " +
-             std::to_string(I.Target) + " " + std::to_string(I.Target2) +
-             " " + std::to_string(I.Callee) + " " +
-             std::to_string(I.SiteId) + " " + std::to_string(I.Args.size());
-      for (Reg A : I.Args)
-        Out += " " + std::to_string(A);
-      Out += "\n";
-    }
-  }
-  for (const std::string &Name : RegNames)
-    Out += "r" + Name + "\n";
-  return Out;
-}
-
-bool parseI64(std::string_view Text, int64_t &Out) {
-  if (Text.empty())
-    return false;
-  int64_t Value = 0;
-  auto [Ptr, Ec] =
-      std::from_chars(Text.data(), Text.data() + Text.size(), Value);
-  if (Ec != std::errc() || Ptr != Text.data() + Text.size())
-    return false;
-  Out = Value;
-  return true;
-}
-
-bool parseU64(std::string_view Text, uint64_t &Out) {
-  if (!Text.empty() && Text.front() == '-')
-    return false;
-  int64_t V = 0;
-  if (!parseI64(Text, V))
-    return false;
-  Out = static_cast<uint64_t>(V);
-  return true;
-}
-
-/// Line cursor over a payload; strict (every line must be terminated).
-struct LineCursor {
-  std::string_view Text;
-  size_t Pos = 0;
-
-  bool next(std::string_view &Line) {
-    if (Pos >= Text.size())
-      return false;
-    size_t Nl = Text.find('\n', Pos);
-    if (Nl == std::string_view::npos)
-      return false;
-    Line = Text.substr(Pos, Nl - Pos);
-    Pos = Nl + 1;
-    return true;
-  }
-  bool atEnd() const { return Pos == Text.size(); }
-};
-
-bool splitWs(std::string_view Line, std::vector<std::string_view> &Out) {
-  Out.clear();
-  size_t Pos = 0;
-  while (Pos <= Line.size()) {
-    size_t Space = Line.find(' ', Pos);
-    std::string_view Field = Space == std::string_view::npos
-                                 ? Line.substr(Pos)
-                                 : Line.substr(Pos, Space - Pos);
-    if (Field.empty())
-      return false;
-    Out.push_back(Field);
-    if (Space == std::string_view::npos)
-      break;
-    Pos = Space + 1;
-  }
-  return !Out.empty();
-}
-
-} // namespace
-
-bool FunctionDefinitionCache::saveToFile(const std::string &Path,
-                                         std::string *Error,
-                                         FaultSession *Faults) const {
-  std::vector<CacheStoreRecord> Records;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    for (const auto &[Key, Body] : S->Map) {
-      CacheStoreRecord R;
-      R.Key = toHex128(Key);
-      R.Payload = serializeBody(Body.NumRegs, Body.FrameSize,
-                                Body.Size, Body.Blocks, Body.RegNames);
-      Records.push_back(std::move(R));
-    }
-  }
-  // Canonical order: sorted by content address, so equal contents give
-  // byte-identical stores regardless of insertion history.
-  std::sort(Records.begin(), Records.end(),
-            [](const CacheStoreRecord &A, const CacheStoreRecord &B) {
-              return A.Key < B.Key;
-            });
-
-  FunctionCacheStats Stats = getStats();
-  CacheStoreHeader Header;
-  Header.Epoch = kFormatEpoch;
-  Header.Fingerprint = getOptionsFingerprint();
-  Header.Stats = {Stats.Hits,           Stats.Misses,
-                  Stats.InstrsServed,   Stats.RejectedInserts,
-                  Stats.Evictions,      Stats.StaleRejected,
-                  Stats.CorruptRejected, Stats.PersistentHits};
-  return saveCacheStore(Path, Header, Records, Error, Faults);
-}
-
-CacheLoadStatus FunctionDefinitionCache::loadFromFile(const std::string &Path,
-                                                      std::string *Detail) {
-  CacheStoreLoadResult Store =
-      loadCacheStore(Path, kFormatEpoch, getOptionsFingerprint());
-  if (Detail)
-    *Detail = Store.Error;
-  switch (Store.Status) {
-  case CacheStoreStatus::NoFile:
-    return CacheLoadStatus::NoFile;
-  case CacheStoreStatus::BadMagic:
-    CorruptRejected.fetch_add(1, std::memory_order_relaxed);
-    return CacheLoadStatus::Corrupt;
-  case CacheStoreStatus::Stale:
-    StaleRejected.fetch_add(1, std::memory_order_relaxed);
-    return CacheLoadStatus::Stale;
-  case CacheStoreStatus::Loaded:
-    break;
-  }
-
-  CorruptRejected.fetch_add(Store.CorruptRecords, std::memory_order_relaxed);
-
-  // Cumulative counter base (trusted only when the store's whole-file
-  // checksum verified; loadCacheStore zeroes the stats otherwise).
-  if (Store.Header.Stats.size() == 8) {
-    BaseHits.fetch_add(Store.Header.Stats[0], std::memory_order_relaxed);
-    BaseMisses.fetch_add(Store.Header.Stats[1], std::memory_order_relaxed);
-    BaseInstrsServed.fetch_add(Store.Header.Stats[2],
-                               std::memory_order_relaxed);
-    BaseRejectedInserts.fetch_add(Store.Header.Stats[3],
-                                  std::memory_order_relaxed);
-    BaseEvictions.fetch_add(Store.Header.Stats[4],
-                            std::memory_order_relaxed);
-    BaseStaleRejected.fetch_add(Store.Header.Stats[5],
-                                std::memory_order_relaxed);
-    BaseCorruptRejected.fetch_add(Store.Header.Stats[6],
-                                  std::memory_order_relaxed);
-    BasePersistentHits.fetch_add(Store.Header.Stats[7],
-                                 std::memory_order_relaxed);
-  }
-
-  for (const CacheStoreRecord &R : Store.Records) {
-    Hash128 Key;
-    if (!parseHex128(R.Key, Key)) {
-      CorruptRejected.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    CachedBody Body;
-    Body.FromDisk = true;
-
-    LineCursor Cursor{R.Payload};
-    std::vector<std::string_view> F;
-    std::string_view Line;
-    uint64_t NumRegs = 0, Size = 0, NumBlocks = 0, NumNames = 0;
-    bool Ok = Cursor.next(Line) && splitWs(Line, F) && F.size() == 6 &&
-              F[0] == "h" && parseU64(F[1], NumRegs) &&
-              parseI64(F[2], Body.FrameSize) && parseU64(F[3], Size) &&
-              parseU64(F[4], NumBlocks) && parseU64(F[5], NumNames);
-    uint64_t InstrCount = 0;
-    for (uint64_t B = 0; Ok && B < NumBlocks; ++B) {
-      uint64_t NumInstrs = 0;
-      Ok = Cursor.next(Line) && splitWs(Line, F) && F.size() == 2 &&
-           F[0] == "b" && parseU64(F[1], NumInstrs);
-      if (!Ok)
-        break;
-      BasicBlock Block;
-      Block.Instrs.reserve(NumInstrs);
-      for (uint64_t I = 0; Ok && I < NumInstrs; ++I) {
-        int64_t Op = 0, Dst = 0, Src1 = 0, Src2 = 0, Target = 0,
-                Target2 = 0, Callee = 0;
-        uint64_t Site = 0, NumArgs = 0;
-        Instr Ins;
-        Ok = Cursor.next(Line) && splitWs(Line, F) && F.size() >= 11 &&
-             F[0] == "i" && parseI64(F[1], Op) && parseI64(F[2], Dst) &&
-             parseI64(F[3], Src1) && parseI64(F[4], Src2) &&
-             parseI64(F[5], Ins.Imm) && parseI64(F[6], Target) &&
-             parseI64(F[7], Target2) && parseI64(F[8], Callee) &&
-             parseU64(F[9], Site) && parseU64(F[10], NumArgs) &&
-             F.size() == 11 + NumArgs && Op >= 0 &&
-             Op <= static_cast<int64_t>(Opcode::Ret);
-        if (!Ok)
-          break;
-        Ins.Op = static_cast<Opcode>(Op);
-        Ins.Dst = static_cast<Reg>(Dst);
-        Ins.Src1 = static_cast<Reg>(Src1);
-        Ins.Src2 = static_cast<Reg>(Src2);
-        Ins.Target = static_cast<BlockId>(Target);
-        Ins.Target2 = static_cast<BlockId>(Target2);
-        Ins.Callee = static_cast<FuncId>(Callee);
-        Ins.SiteId = static_cast<uint32_t>(Site);
-        for (uint64_t A = 0; A < NumArgs; ++A) {
-          int64_t Arg = 0;
-          Ok = Ok && parseI64(F[11 + A], Arg);
-          Ins.Args.push_back(static_cast<Reg>(Arg));
-        }
-        ++InstrCount;
-        Block.Instrs.push_back(std::move(Ins));
-      }
-      Body.Blocks.push_back(std::move(Block));
-    }
-    for (uint64_t N = 0; Ok && N < NumNames; ++N) {
-      Ok = Cursor.next(Line) && !Line.empty() && Line.front() == 'r';
-      if (Ok)
-        Body.RegNames.push_back(std::string(Line.substr(1)));
-    }
-    // Strict: no trailing bytes, derived size must agree, and the same
-    // structural backstop insert() applies (no bodiless live entries).
-    Ok = Ok && Cursor.atEnd() && InstrCount == Size && !Body.Blocks.empty();
-    if (!Ok) {
-      CorruptRejected.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Body.NumRegs = static_cast<uint32_t>(NumRegs);
-    Body.Size = Size;
-    insertBody(Key, std::move(Body));
-  }
-  return CacheLoadStatus::Loaded;
+  Hash128 H = hash128(Key);
+  Shard &S = shardFor(H);
+  std::lock_guard<std::mutex> Lock(S.Mutex);
+  S.Map.emplace(H, std::move(Body));
 }
 
 FunctionCacheStats FunctionDefinitionCache::getStats() const {
   FunctionCacheStats Stats;
-  Stats.Hits = Hits.load(std::memory_order_relaxed) +
-               BaseHits.load(std::memory_order_relaxed);
-  Stats.Misses = Misses.load(std::memory_order_relaxed) +
-                 BaseMisses.load(std::memory_order_relaxed);
-  Stats.InstrsServed = InstrsServed.load(std::memory_order_relaxed) +
-                       BaseInstrsServed.load(std::memory_order_relaxed);
-  Stats.RejectedInserts =
-      RejectedInserts.load(std::memory_order_relaxed) +
-      BaseRejectedInserts.load(std::memory_order_relaxed);
-  Stats.Evictions = Evictions.load(std::memory_order_relaxed) +
-                    BaseEvictions.load(std::memory_order_relaxed);
-  Stats.StaleRejected = StaleRejected.load(std::memory_order_relaxed) +
-                        BaseStaleRejected.load(std::memory_order_relaxed);
-  Stats.CorruptRejected =
-      CorruptRejected.load(std::memory_order_relaxed) +
-      BaseCorruptRejected.load(std::memory_order_relaxed);
-  Stats.PersistentHits = PersistentHits.load(std::memory_order_relaxed) +
-                         BasePersistentHits.load(std::memory_order_relaxed);
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Stats.Entries += S->Map.size();
+  Stats.Hits = Hits.load(std::memory_order_relaxed);
+  Stats.Misses = Misses.load(std::memory_order_relaxed);
+  Stats.InstrsServed = InstrsServed.load(std::memory_order_relaxed);
+  Stats.RejectedInserts = RejectedInserts.load(std::memory_order_relaxed);
+  for (Shard &S : Shards) {
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    Stats.Entries += S.Map.size();
   }
   return Stats;
 }
 
 void FunctionDefinitionCache::clear() {
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    S->Map.clear();
-    S->Order.clear();
+  for (Shard &S : Shards) {
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    S.Map.clear();
   }
   for (std::atomic<uint64_t> *C :
-       {&Hits, &Misses, &InstrsServed, &RejectedInserts, &Evictions,
-        &StaleRejected, &CorruptRejected, &PersistentHits, &BaseHits,
-        &BaseMisses, &BaseInstrsServed, &BaseRejectedInserts,
-        &BaseEvictions, &BaseStaleRejected, &BaseCorruptRejected,
-        &BasePersistentHits})
+       {&Hits, &Misses, &InstrsServed, &RejectedInserts})
     C->store(0, std::memory_order_relaxed);
 }

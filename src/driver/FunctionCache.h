@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The paper's §3 function-definition cache, lifted to batch scope and —
-/// since the compile-server PR — to process scope: the linear expansion
-/// order lets IMPACT keep each function's pre-processed definition around
-/// and reuse it; here we memoize the result of the pre-inline classic
-/// optimization of a function *body* so identical bodies — across suite
-/// programs in one batch, across the ablation sweeps that recompile the
-/// same program dozens of times, and across server recompiles and
-/// separate processes sharing a cache directory — are optimized once.
+/// The paper's §3 function-definition cache, lifted to batch and server
+/// scope: the linear expansion order lets IMPACT keep each function's
+/// pre-processed definition around and reuse it; here we memoize the
+/// result of the pre-inline classic optimization of a function *body* so
+/// identical bodies — across suite programs in one batch, across the
+/// ablation sweeps that recompile the same program dozens of times, and
+/// across a compile server's recompiles — are optimized once. The cache
+/// lives in memory only.
 ///
 /// Content addressing: the logical key is exact, not probabilistic — the
 /// full printed body (which renders every instruction field, register
@@ -20,23 +20,12 @@
 /// fingerprint of the optimization options; calls that target the
 /// function itself are marked because tail-recursion elimination treats
 /// them differently from calls to any other function with the same
-/// printed body. Internally (and on disk) entries are addressed by the
-/// stable 128-bit digest of that key text (support/Hashing.h), so the
-/// store never persists source-sized key strings and a second process
-/// recomputes the same addresses from the same bodies.
+/// printed body. Internally entries are addressed by the stable 128-bit
+/// digest of that key text (support/Hashing.h), so the map never holds
+/// source-sized key strings.
 /// Because the optimizer is deterministic, splicing a cached body is
 /// bit-identical to re-running the passes, which is what keeps the batch
 /// pipeline's output equal to the serial pipeline's.
-///
-/// Persistence: saveToFile/loadFromFile round the cache through the
-/// `impact-cache v1` store (support/CacheStore.h) — versioned by
-/// kFormatEpoch and getOptionsFingerprint(), checksummed per record and
-/// per file, written atomically. Stale stores (other epoch/fingerprint)
-/// are rejected whole and rebuilt; corrupt records are dropped and
-/// recompiled — a damaged store can cost recompilation, never
-/// correctness. Counters loaded from the store become the base of this
-/// process's counters, so `[cache]` footers report cross-process
-/// lifetime numbers instead of resetting per invocation.
 ///
 /// Thread safety: the map is split into shards, each behind its own mutex,
 /// so concurrent pipeline jobs rarely contend; hit/miss counters are
@@ -47,8 +36,7 @@
 /// only runs after a function's pass pipeline completed, and any fault
 /// unwinds before the insert — and the cache backstops it: insert()
 /// rejects structurally invalid bodies (no blocks on a live function),
-/// counting them in RejectedInserts instead of storing them. Loaded
-/// records pass the same backstop plus a strict payload parse.
+/// counting them in RejectedInserts instead of storing them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,10 +47,9 @@
 #include "opt/PassManager.h"
 #include "support/Hashing.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -70,12 +57,7 @@
 
 namespace impact {
 
-class FaultSession;
-
-/// Snapshot of cache effectiveness counters. With a persistent store
-/// attached these are cross-process lifetime numbers: loadFromFile seeds
-/// them from the store's cumulative stats line and saveToFile writes the
-/// running totals back.
+/// Snapshot of cache effectiveness counters over the cache's lifetime.
 struct FunctionCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
@@ -86,16 +68,6 @@ struct FunctionCacheStats {
   /// Structurally invalid bodies insert() refused to store (always 0 in
   /// a healthy pipeline; see the poisoning note above).
   uint64_t RejectedInserts = 0;
-  /// Entries displaced by the FIFO capacity bound (setCapacity).
-  uint64_t Evictions = 0;
-  /// Persistent stores rejected whole for an epoch or options-fingerprint
-  /// mismatch (their entries are rebuilt, never spliced).
-  uint64_t StaleRejected = 0;
-  /// Store records dropped for checksum/framing/payload-parse failures.
-  uint64_t CorruptRejected = 0;
-  /// Hits served by entries another process (or a previous run) computed
-  /// — the observable cross-process reuse.
-  uint64_t PersistentHits = 0;
 
   double getHitRate() const {
     uint64_t Total = Hits + Misses;
@@ -104,33 +76,12 @@ struct FunctionCacheStats {
   }
 };
 
-/// Outcome of loadFromFile (details in the store's semantics,
-/// support/CacheStore.h).
-enum class CacheLoadStatus {
-  Loaded, ///< Store accepted; verified records spliced in.
-  NoFile, ///< No store at that path: cold start.
-  Stale,  ///< Whole store rejected (epoch/fingerprint mismatch).
-  Corrupt ///< Whole store rejected (bad magic / unparseable header).
-};
-
 class FunctionDefinitionCache {
 public:
-  /// Bump when the on-disk body payload encoding changes incompatibly
-  /// (field order, opcode numbering): older stores then load as Stale
-  /// and rebuild instead of misparsing.
-  static constexpr uint64_t kFormatEpoch = 1;
-
-  explicit FunctionDefinitionCache(unsigned ShardCount = 16);
-
   /// The lookup key for optimizing \p F under \p Opts. Renders the body
   /// exactly (excluding the function name, which cannot affect the
   /// optimizer) so equal keys imply equal post-optimization bodies.
   static std::string makeKey(const Function &F, const OptOptions &Opts);
-
-  /// The store staleness fingerprint: ties persisted entries to the
-  /// OptOptions encoding and the opcode numbering they were computed
-  /// under. Any mismatch rejects a store whole.
-  static std::string getOptionsFingerprint();
 
   /// On hit, splices the cached post-optimization body (blocks, register
   /// and frame counts, register names) into \p F and returns true.
@@ -139,29 +90,6 @@ public:
   /// Records \p F's post-optimization body under \p Key. Refuses (and
   /// counts) structurally invalid bodies — the anti-poisoning backstop.
   void insert(const std::string &Key, const Function &F);
-
-  /// Bounds the entry count; 0 = unbounded (default). When full, insert
-  /// evicts the oldest entry of its shard (FIFO). Eviction only moves
-  /// work back from "hit" to "recompute", so capacity never affects
-  /// results — only the hit/miss split.
-  void setCapacity(uint64_t MaxEntries);
-
-  /// Persists every entry (sorted by content address, so identical
-  /// contents produce identical bytes) plus the cumulative counters to
-  /// \p Path via the atomic `impact-cache v1` writer. \p Faults reaches
-  /// the "cache-persist" site (see support/CacheStore.h). Returns false
-  /// and fills \p Error on failure; the previous store survives any
-  /// failed save.
-  bool saveToFile(const std::string &Path, std::string *Error = nullptr,
-                  FaultSession *Faults = nullptr) const;
-
-  /// Loads \p Path, splicing every verified record in and seeding the
-  /// counter base from the store's stats. Stale/corrupt stores are
-  /// counted and ignored (the cache stays usable and will overwrite the
-  /// bad store on the next save). \p Detail carries the reason for
-  /// non-Loaded outcomes.
-  CacheLoadStatus loadFromFile(const std::string &Path,
-                               std::string *Detail = nullptr);
 
   FunctionCacheStats getStats() const;
   void clear();
@@ -175,9 +103,6 @@ private:
     std::vector<BasicBlock> Blocks;
     std::vector<std::string> RegNames;
     uint64_t Size = 0;
-    /// True when this body came from a persistent store rather than this
-    /// process's optimizer (feeds PersistentHits).
-    bool FromDisk = false;
   };
 
   struct KeyHash {
@@ -187,36 +112,19 @@ private:
   };
 
   struct Shard {
-    mutable std::mutex Mutex;
+    std::mutex Mutex;
     std::unordered_map<Hash128, CachedBody, KeyHash> Map;
-    /// Insertion order for FIFO eviction.
-    std::deque<Hash128> Order;
   };
 
-  Shard &shardFor(const Hash128 &Key) const;
-  void insertBody(const Hash128 &Key, CachedBody Body);
-  uint64_t perShardCapacity() const;
+  static constexpr unsigned kShardCount = 16;
 
-  std::vector<std::unique_ptr<Shard>> Shards;
-  std::atomic<uint64_t> Capacity{0};
+  Shard &shardFor(const Hash128 &Key) const;
+
+  mutable std::array<Shard, kShardCount> Shards;
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> InstrsServed{0};
   std::atomic<uint64_t> RejectedInserts{0};
-  std::atomic<uint64_t> Evictions{0};
-  std::atomic<uint64_t> StaleRejected{0};
-  std::atomic<uint64_t> CorruptRejected{0};
-  std::atomic<uint64_t> PersistentHits{0};
-  /// Cumulative counters carried over from a loaded store (the
-  /// cross-process base getStats() adds on top of).
-  std::atomic<uint64_t> BaseHits{0};
-  std::atomic<uint64_t> BaseMisses{0};
-  std::atomic<uint64_t> BaseInstrsServed{0};
-  std::atomic<uint64_t> BaseRejectedInserts{0};
-  std::atomic<uint64_t> BaseEvictions{0};
-  std::atomic<uint64_t> BaseStaleRejected{0};
-  std::atomic<uint64_t> BaseCorruptRejected{0};
-  std::atomic<uint64_t> BasePersistentHits{0};
 };
 
 } // namespace impact

@@ -93,14 +93,15 @@ struct Executor {
         std::string Source;
         if (!readHeredoc(LineNo, W[2].substr(2), Source))
           return false;
+        size_t Bytes = Source.size();
         bool Ok = Verb == "unit"
-                      ? Server.addUnit(W[1], Source, &Error)
+                      ? Server.addUnit(W[1], std::move(Source), &Error)
                       : Server.replaceUnit(W[1], std::move(Source), &Error);
         if (!Ok)
           say("[error] " + Error);
         else
-          say("[" + Verb + "] " + W[1] + " (" +
-              std::to_string(Source.size()) + " bytes)");
+          say("[" + Verb + "] " + W[1] + " (" + std::to_string(Bytes) +
+              " bytes)");
       } else if (Verb == "remove") {
         if (W.size() != 2)
           return parseError(LineNo, "remove needs '<name>'");
@@ -179,20 +180,7 @@ struct Executor {
         FunctionCacheStats S = Server.getCacheStats();
         say("[stats] hits=" + std::to_string(S.Hits) +
             " misses=" + std::to_string(S.Misses) +
-            " entries=" + std::to_string(S.Entries) +
-            " evictions=" + std::to_string(S.Evictions) +
-            " stale=" + std::to_string(S.StaleRejected) +
-            " corrupt=" + std::to_string(S.CorruptRejected) +
-            " persistent-hits=" + std::to_string(S.PersistentHits));
-      } else if (Verb == "save") {
-        if (W.size() != 1)
-          return parseError(LineNo, "save takes no arguments");
-        if (Server.persistCache())
-          say("[save] ok");
-        else
-          say("[save] FAILED: " + (Server.getFailures().empty()
-                                       ? std::string("unknown")
-                                       : Server.getFailures().back().Detail));
+            " entries=" + std::to_string(S.Entries));
       } else {
         return parseError(LineNo, "unknown command '" + Verb + "'");
       }

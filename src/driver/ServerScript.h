@@ -24,7 +24,6 @@
 ///                              the benchmark's deterministic workload
 ///   recompile [target]         recompile `target` (default "*")
 ///   stats                      append cache counters to the transcript
-///   save                       persist the cache store now
 ///
 /// Execution appends one transcript line per command, e.g.
 ///   [recompile] target=* touched=3 units=[mid1,mid2,util] programs=2

@@ -16,7 +16,7 @@ using namespace impact;
 const std::vector<std::string> &impact::getKnownFaultSites() {
   static const std::vector<std::string> Sites = {
       "parse",        "sema",    "irgen",  "pass",      "cache-lookup",
-      "cache-insert", "profile", "expand", "reprofile", "cache-persist"};
+      "cache-insert", "profile", "expand", "reprofile"};
   return Sites;
 }
 

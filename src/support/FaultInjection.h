@@ -20,11 +20,7 @@
 ///   rule := [unit '/'] site ':' kind '@' occurrence ['x' attempts]
 ///
 ///   site       one of getKnownFaultSites(): parse, sema, irgen, pass,
-///              cache-lookup, cache-insert, profile, expand, reprofile,
-///              cache-persist (the persistent cache-store save path —
-///              server scope, not reached by a plain pipeline run;
-///              occurrence 1 fires before the temp write, 2 mid-write,
-///              3 after the clean close just before the atomic rename)
+///              cache-lookup, cache-insert, profile, expand, reprofile
 ///   kind       throw     - throw FaultInjectedError from the site
 ///              diag      - report an injected diagnostic (clean failure)
 ///              oom       - throw std::bad_alloc (allocation failure)

@@ -1,17 +1,14 @@
-//===- support/Hashing.h - Stable content hashes for persistence -----------===//
+//===- support/Hashing.h - Stable 128-bit content digests ------------------===//
 //
 // Part of the impact-inline project, distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Stable, process-independent hashing for on-disk artifacts. std::hash
-/// makes no cross-run guarantees, so everything persisted (the
-/// content-addressed cache store, its record checksums) hashes through
-/// these functions instead: FNV-1a 64 for checksums and a two-lane
-/// FNV + splitmix64-finalized 128-bit digest for content addresses. The
-/// byte stream is hashed as-is, so the digests are byte-order independent
-/// by construction.
+/// A stable, process-independent 128-bit content digest: two FNV-1a lanes
+/// finalized with splitmix64. The function-definition cache addresses its
+/// entries by this digest of their key text. The byte stream is hashed
+/// as-is, so the digest is byte-order independent by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,24 +16,12 @@
 #define IMPACT_SUPPORT_HASHING_H
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace impact {
 
 inline constexpr uint64_t kFnvOffsetBasis64 = 0xcbf29ce484222325ull;
 inline constexpr uint64_t kFnvPrime64 = 0x100000001b3ull;
-
-/// FNV-1a 64 over \p Data, continuing from \p Hash (seed with
-/// kFnvOffsetBasis64 for a fresh digest).
-inline uint64_t fnv1a64(std::string_view Data,
-                        uint64_t Hash = kFnvOffsetBasis64) {
-  for (unsigned char C : Data) {
-    Hash ^= C;
-    Hash *= kFnvPrime64;
-  }
-  return Hash;
-}
 
 /// splitmix64's finalizer: a full-avalanche bijection, so the weakly
 /// mixing FNV lanes below end up with every input bit affecting every
@@ -59,9 +44,6 @@ struct Hash128 {
   uint64_t Lo = 0;
 
   friend bool operator==(const Hash128 &, const Hash128 &) = default;
-  friend bool operator<(const Hash128 &A, const Hash128 &B) {
-    return A.Hi != B.Hi ? A.Hi < B.Hi : A.Lo < B.Lo;
-  }
 };
 
 inline Hash128 hash128(std::string_view Data) {
@@ -79,15 +61,6 @@ inline Hash128 hash128(std::string_view Data) {
   H.Lo = avalanche64(B ^ avalanche64(A + 0x2545f4914f6cdd1dull + Len));
   return H;
 }
-
-/// Lower-case fixed-width hex ("%016x" per lane; 32 chars for a Hash128).
-std::string toHex64(uint64_t Value);
-std::string toHex128(const Hash128 &H);
-
-/// Strict hex parse (exact width, lower- or upper-case); false on any
-/// other input.
-bool parseHex64(std::string_view Text, uint64_t &Out);
-bool parseHex128(std::string_view Text, Hash128 &Out);
 
 } // namespace impact
 

@@ -20,27 +20,8 @@ namespace {
 enum class Fuse : uint8_t {
   None,        // translate alone
   CmpBrHead,   // Cmp* fused with the following CondBr (consumes 2)
-  LosHead,     // Load fused with the following op and store (consumes 3)
   Consumed,    // body of a superinstruction started earlier
 };
-
-bool isAluBinOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-    return true;
-  default:
-    return false;
-  }
-}
 
 bool isCompare(Opcode Op) {
   return Op >= Opcode::CmpEq && Op <= Opcode::CmpGe;
@@ -91,8 +72,6 @@ size_t encodedWords(const Instr &I, Fuse F) {
     return 0;
   case Fuse::CmpBrHead:
     return 6; // op, dst, s1, s2, target, target2
-  case Fuse::LosHead:
-    return 8; // op, ilop, ldDst, addr, opDst, opS1, opS2, stVal
   case Fuse::None:
     break;
   }
@@ -185,7 +164,7 @@ public:
   }
 
 private:
-  /// Decides, deterministically, which adjacent shapes fuse. Fusion only
+  /// Decides, deterministically, which blocks end in a fusable shape. Fusion only
   /// changes dispatch: every constituent IL instruction is still executed,
   /// counted, and step-checked in original order by the fused handler.
   void planFusion() {
@@ -194,27 +173,13 @@ private:
       const std::vector<Instr> &Is = F.Blocks[B].Instrs;
       std::vector<Fuse> &Plan = FusePlan[B];
       Plan.assign(Is.size(), Fuse::None);
-      for (size_t I = 0; I != Is.size(); ++I) {
-        if (Plan[I] != Fuse::None)
-          continue;
-        // Load t,[p]; t2 = a <op> b; [p] = t2  (adjacent, same address
-        // register, the op's result is what gets stored).
-        if (I + 2 < Is.size() && Is[I].Op == Opcode::Load &&
-            isAluBinOp(Is[I + 1].Op) && Is[I + 2].Op == Opcode::Store &&
-            Is[I + 2].Src1 == Is[I].Src1 &&
-            Is[I + 2].Src2 == Is[I + 1].Dst) {
-          Plan[I] = Fuse::LosHead;
-          Plan[I + 1] = Plan[I + 2] = Fuse::Consumed;
-          ++Stats.FusedLoadOpStore;
-          continue;
-        }
-        // Cmp* feeding the block's CondBr directly.
-        if (I + 1 == Is.size() - 1 && isCompare(Is[I].Op) &&
-            Is[I + 1].Op == Opcode::CondBr && Is[I + 1].Src1 == Is[I].Dst) {
-          Plan[I] = Fuse::CmpBrHead;
-          Plan[I + 1] = Fuse::Consumed;
-          ++Stats.FusedCmpBr;
-        }
+      // Cmp* feeding the block's CondBr directly.
+      size_t N = Is.size();
+      if (N >= 2 && isCompare(Is[N - 2].Op) &&
+          Is[N - 1].Op == Opcode::CondBr && Is[N - 1].Src1 == Is[N - 2].Dst) {
+        Plan[N - 2] = Fuse::CmpBrHead;
+        Plan[N - 1] = Fuse::Consumed;
+        ++Stats.FusedCmpBr;
       }
     }
   }
@@ -368,20 +333,6 @@ private:
         w(brTarget(B, Br.Target, /*Taken=*/true));
         w(brTarget(B, Br.Target2, /*Taken=*/false));
         ++Stats.IlInstrs; // the consumed CondBr
-        break;
-      }
-      case Fuse::LosHead: {
-        const Instr &Alu = Is[Idx + 1];
-        const Instr &St = Is[Idx + 2];
-        op(VmOp::LoadOpStore);
-        w(static_cast<int32_t>(Alu.Op));
-        w(I.Dst);
-        w(I.Src1);
-        w(Alu.Dst);
-        w(Alu.Src1);
-        w(Alu.Src2);
-        w(St.Src2);
-        Stats.IlInstrs += 2; // the consumed op and store
         break;
       }
       case Fuse::None:
@@ -637,7 +588,6 @@ const char *impact::getVmOpName(VmOp Op) {
   case VmOp::CmpLeBr: return "cmp_le_br";
   case VmOp::CmpGtBr: return "cmp_gt_br";
   case VmOp::CmpGeBr: return "cmp_ge_br";
-  case VmOp::LoadOpStore: return "load_op_store";
   case VmOp::JumpProbe: return "jump_probe";
   case VmOp::ProbeJump: return "probe_jump";
   case VmOp::RetProbe: return "ret_probe";
@@ -748,14 +698,6 @@ std::string impact::disassemble(const VmFunction &F) {
              " -> " + std::to_string(C[PC + 4]) + ", " +
              std::to_string(C[PC + 5]);
       PC += 6;
-      break;
-    case VmOp::LoadOpStore:
-      Out += " " + std::string(getOpcodeName(
-                 static_cast<Opcode>(C[PC + 1]))) +
-             " " + R(C[PC + 2]) + ", [" + R(C[PC + 3]) + "], " +
-             R(C[PC + 4]) + ", " + R(C[PC + 5]) + ", " + R(C[PC + 6]) +
-             ", " + R(C[PC + 7]);
-      PC += 8;
       break;
     case VmOp::JumpProbe:
     case VmOp::ProbeJump:

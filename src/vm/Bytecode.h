@@ -20,10 +20,8 @@
 /// precomputed addresses (global segment layout, encoded function
 /// addresses) live in a per-function constant pool.
 ///
-/// Superinstructions fuse the two hot shapes the suite actually executes:
-///   * compare-and-branch  — Cmp* whose Dst feeds the block's CondBr
-///   * load-op-store       — Load t,[p]; t2 = t <op> s; [p] = t2
-/// Fused execution is observationally identical to the unfused sequence:
+/// One superinstruction fuses the hot compare-and-branch shape: a Cmp*
+/// whose Dst feeds the block's CondBr. Fused execution is observationally identical to the unfused sequence:
 /// every constituent IL instruction is still step-checked and counted
 /// individually (a step limit can exhaust *inside* a superinstruction at
 /// exactly the same IL instruction the walker would stop at), and all
@@ -49,8 +47,7 @@ namespace impact {
 /// Bytecode opcode tokens. Most tokens map 1:1 onto an IL opcode (the VM
 /// counts the IL opcode, so ExecStats::OpcodeCounts stays bit-identical to
 /// the walker's); call tokens split one IL opcode by compile-time
-/// resolution; Cmp*Br / LoadOpStore tokens cover two / three IL
-/// instructions each.
+/// resolution; Cmp*Br tokens cover two IL instructions each.
 enum class VmOp : int32_t {
   Mov,    // dst, src
   LdImm,  // dst, pool
@@ -92,7 +89,6 @@ enum class VmOp : int32_t {
   CmpLeBr,
   CmpGtBr,
   CmpGeBr,
-  LoadOpStore, // ilop, ldDst, addr, opDst, opS1, opS2, stVal
 
   // Minimum-coverage probes (mincover compilations only; full-mode code
   // never contains them).
@@ -141,14 +137,12 @@ struct VmCompileStats {
   uint64_t IlInstrs = 0;        // IL instructions translated
   uint64_t VmInstrs = 0;        // bytecode instructions emitted
   uint64_t FusedCmpBr = 0;      // compare-and-branch superinstructions
-  uint64_t FusedLoadOpStore = 0; // load-op-store superinstructions
   uint64_t CodeWords = 0;       // total int32 words of bytecode
 
   void merge(const VmCompileStats &O) {
     IlInstrs += O.IlInstrs;
     VmInstrs += O.VmInstrs;
     FusedCmpBr += O.FusedCmpBr;
-    FusedLoadOpStore += O.FusedLoadOpStore;
     CodeWords += O.CodeWords;
   }
 };

@@ -39,15 +39,14 @@ enum class VmDispatch { Auto, ComputedGoto, Switch };
 /// VmCompileStats). Purely observational; not part of the differential
 /// equivalence contract.
 struct VmRunStats {
-  /// Superinstructions dispatched (each covers 2 / 3 IL steps).
+  /// Superinstructions dispatched (each covers 2 IL steps).
   uint64_t FusedCmpBr = 0;
-  uint64_t FusedLoadOpStore = 0;
   /// Total executed IL steps (== ExecStats::InstrCount).
   uint64_t IlSteps = 0;
 
   /// Fraction of executed IL steps covered by a superinstruction.
   double getFusedStepFraction() const {
-    uint64_t Covered = 2 * FusedCmpBr + 3 * FusedLoadOpStore;
+    uint64_t Covered = 2 * FusedCmpBr;
     return IlSteps == 0 ? 0.0
                         : static_cast<double>(Covered) /
                               static_cast<double>(IlSteps);
@@ -55,7 +54,6 @@ struct VmRunStats {
 
   void merge(const VmRunStats &O) {
     FusedCmpBr += O.FusedCmpBr;
-    FusedLoadOpStore += O.FusedLoadOpStore;
     IlSteps += O.IlSteps;
   }
 };

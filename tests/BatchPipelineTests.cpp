@@ -224,6 +224,53 @@ TEST(FunctionCache, StatsAndClear) {
   EXPECT_FALSE(Cache.lookup(Key, Scratch3));
 }
 
+TEST(FunctionCache, WarmCacheServesEveryBodyBitIdentically) {
+  // Two pipeline runs of one program over one cache: the second serves
+  // every pre-opt body from the first's entries and must be
+  // bit-identical to recomputation.
+  std::vector<RunInput> Inputs = {{"abcd", ""}, {"", ""}};
+  FunctionDefinitionCache Cache;
+  PipelineOptions Options;
+  Options.DefCache = &Cache;
+  PipelineResult Fresh =
+      runPipeline(test::kCallHeavyProgram, "call_heavy", Inputs, Options);
+  ASSERT_TRUE(Fresh.Ok) << Fresh.Error;
+  FunctionCacheStats Cold = Cache.getStats();
+  ASSERT_GT(Cold.Entries, 0u);
+
+  PipelineResult Reused =
+      runPipeline(test::kCallHeavyProgram, "call_heavy", Inputs, Options);
+  ASSERT_TRUE(Reused.Ok) << Reused.Error;
+  EXPECT_EQ(printModule(Reused.FinalModule), printModule(Fresh.FinalModule))
+      << "a hit must be bit-identical to recomputation";
+  EXPECT_EQ(Reused.OutputsAfter, Fresh.OutputsAfter);
+  EXPECT_EQ(Reused.Stats.CacheMisses, 0u)
+      << "every body must be served from the cache, not recomputed";
+  EXPECT_EQ(Reused.Stats.CacheHits,
+            Fresh.Stats.CacheHits + Fresh.Stats.CacheMisses);
+  EXPECT_EQ(Cache.getStats().Entries, Cold.Entries);
+}
+
+TEST(FunctionCache, DistinctBodiesAllStayResident) {
+  // The cache never evicts: every distinct body inserted stays servable.
+  FunctionDefinitionCache Cache;
+  OptOptions Opts;
+  std::vector<std::string> Keys;
+  for (int I = 0; I != 40; ++I) {
+    Module M = compileOk("int f(int x) { return x + " + std::to_string(I) +
+                         "; }\nint main() { return f(1); }");
+    Function &F = firstDefined(M);
+    Keys.push_back(FunctionDefinitionCache::makeKey(F, Opts));
+    Cache.insert(Keys.back(), F);
+  }
+  EXPECT_EQ(Cache.getStats().Entries, Keys.size());
+  Module Probe = compileOk(test::kCallHeavyProgram);
+  for (const std::string &Key : Keys) {
+    Function Scratch = firstDefined(Probe);
+    EXPECT_TRUE(Cache.lookup(Key, Scratch));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Batch vs serial smoke tests
 //===----------------------------------------------------------------------===//
@@ -291,19 +338,22 @@ TEST(BatchPipeline, MatchesSerialPipeline) {
 }
 
 TEST(BatchPipeline, CacheDisabledStillMatches) {
+  // A batch always memoizes; the uncached reference is the serial
+  // runPipeline, which attaches no cache unless asked to.
   std::vector<BatchJob> Jobs = makeTestJobs();
   BatchOptions Cached;
   Cached.Jobs = 2;
-  BatchOptions Uncached;
-  Uncached.Jobs = 2;
-  Uncached.UseDefinitionCache = false;
   BatchResult A = runBatchPipeline(Jobs, Cached);
-  BatchResult B = runBatchPipeline(Jobs, Uncached);
   ASSERT_TRUE(A.allOk());
-  ASSERT_TRUE(B.allOk());
-  for (size_t I = 0; I != Jobs.size(); ++I)
-    expectSameResult(A.Results[I], B.Results[I], Jobs[I].Name);
-  EXPECT_EQ(B.Aggregate.CacheHits + B.Aggregate.CacheMisses, 0u);
+  EXPECT_GT(A.Aggregate.CacheHits + A.Aggregate.CacheMisses, 0u);
+  for (size_t I = 0; I != Jobs.size(); ++I) {
+    const BatchJob &Job = Jobs[I];
+    PipelineResult B =
+        runPipeline(Job.Source, Job.Name, Job.Inputs, Job.Options);
+    ASSERT_TRUE(B.Ok) << B.Error;
+    EXPECT_EQ(B.Stats.CacheHits + B.Stats.CacheMisses, 0u);
+    expectSameResult(A.Results[I], B, Job.Name);
+  }
 }
 
 TEST(BatchPipeline, CachedMatchesUncachedAcrossPassSets) {
@@ -327,16 +377,14 @@ TEST(BatchPipeline, CachedMatchesUncachedAcrossPassSets) {
     BatchOptions Cached;
     Cached.Jobs = 4;
     Cached.ExternalCache = &Shared;
-    BatchOptions Uncached;
-    Uncached.Jobs = 4;
-    Uncached.UseDefinitionCache = false;
     BatchResult A = runBatchPipeline(Jobs, Cached);
-    BatchResult B = runBatchPipeline(Jobs, Uncached);
     ASSERT_TRUE(A.allOk());
-    ASSERT_TRUE(B.allOk());
-    for (size_t I = 0; I != Jobs.size(); ++I)
-      expectSameResult(A.Results[I], B.Results[I],
-                       std::string(Spec) + " " + Jobs[I].Name);
+    for (size_t I = 0; I != Jobs.size(); ++I) {
+      const BatchJob &Job = Jobs[I];
+      PipelineResult B =
+          runPipeline(Job.Source, Job.Name, Job.Inputs, Job.Options);
+      expectSameResult(A.Results[I], B, std::string(Spec) + " " + Job.Name);
+    }
   }
   EXPECT_GT(Shared.getStats().Entries, 0u);
 }

@@ -11,10 +11,11 @@
 /// same sources — at jobs=1 and jobs=4 — while warm recompiles touch only
 /// the changed unit's reverse-transitive call-graph dependents (pinned
 /// exact sets for a hand-built DAG and a mutual-recursion cycle, asserted
-/// by the touched-unit counter, never by timing). Failure containment:
-/// broken units, broken links, injected faults, and crashed cache
-/// persists quarantine and retry; the server never dies and the on-disk
-/// store is never poisoned.
+/// by the touched-unit counter, never by timing), and a warm edit serves
+/// every unchanged body's pre-opt work from the server's in-memory
+/// function-definition cache. Failure containment: broken units, broken
+/// links, and injected faults quarantine and retry; the server never dies
+/// and the cache is never poisoned.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,19 +31,9 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 using namespace impact;
 
 namespace {
-
-/// A unique, cleaned-up cache directory per call site.
-std::string makeCacheDir(const std::string &Name) {
-  std::string Dir = ::testing::TempDir() + "impact_server_" + Name;
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  return Dir;
-}
 
 PipelineOptions tracedOptions() {
   PipelineOptions Options;
@@ -457,88 +448,48 @@ TEST(CompileServer, TargetedRecompileLeavesOtherProgramsDirty) {
 }
 
 //===----------------------------------------------------------------------===//
-// Persistence: cross-process reuse, crash-during-save containment.
+// The in-memory pre-opt memo across recompiles.
 //===----------------------------------------------------------------------===//
 
-TEST(CompileServer, RestartedServerReusesTheOnDiskCache) {
-  std::string Dir = makeCacheDir("restart");
-  const BenchmarkSpec *B = findBenchmark("wc");
-  ASSERT_NE(B, nullptr);
-  std::vector<RunInput> Inputs = makeBenchmarkInputs(*B, 2);
+TEST(CompileServer, WarmEditReusesUnchangedPreOptBodies) {
+  // The edit changes one constant in accumulate() and adds or removes no
+  // call. Call-site ids are numbered module-wide, so every other body
+  // keeps its cache key and only accumulate() misses.
+  std::string Source = test::kCallHeavyProgram;
+  std::string Edited = Source;
+  size_t At = Edited.find("total = 0;");
+  ASSERT_NE(At, std::string::npos);
+  Edited.replace(At, 10, "total = 7;");
 
-  std::string FirstModule;
-  {
-    ServerOptions Options;
-    Options.CacheDir = Dir;
-    Options.Pipeline = tracedOptions();
-    CompileServer Server(Options);
-    EXPECT_EQ(Server.getInitialCacheStatus(), CacheLoadStatus::NoFile);
-    ASSERT_TRUE(Server.addUnit("wc", B->Source));
-    ASSERT_TRUE(Server.defineProgram("wc", {"wc"}, Inputs));
-    ASSERT_EQ(Server.recompile().RecompiledPrograms, 1u);
-    FirstModule = printModule(Server.getResult("wc")->FinalModule);
-    EXPECT_TRUE(std::filesystem::exists(getCacheStorePath(Dir)));
-  }
+  CompilationResult Probe = compileMiniC(Source, "heavy");
+  ASSERT_TRUE(Probe.Ok) << Probe.Errors;
+  uint64_t Defined = 0;
+  for (const Function &F : Probe.M.Funcs)
+    Defined += !F.IsExternal;
+  ASSERT_GE(Defined, 3u);
 
-  // Second server, same directory: a warm disk, zero shared memory.
   ServerOptions Options;
-  Options.CacheDir = Dir;
   Options.Pipeline = tracedOptions();
   CompileServer Server(Options);
-  EXPECT_EQ(Server.getInitialCacheStatus(), CacheLoadStatus::Loaded);
-  ASSERT_TRUE(Server.addUnit("wc", B->Source));
-  ASSERT_TRUE(Server.defineProgram("wc", {"wc"}, Inputs));
+  ASSERT_TRUE(Server.addUnit("heavy", Source));
+  ASSERT_TRUE(Server.defineProgram("heavy", {"heavy"}, twoRuns()));
   ASSERT_EQ(Server.recompile().RecompiledPrograms, 1u);
-  EXPECT_EQ(printModule(Server.getResult("wc")->FinalModule), FirstModule)
-      << "persistent hits must be bit-identical to recomputation";
-  EXPECT_GT(Server.getCacheStats().PersistentHits, 0u)
-      << "cross-process reuse must be observable in the counters";
-  std::filesystem::remove_all(Dir);
+  EXPECT_EQ(Server.getResult("heavy")->Stats.CacheHits, 0u)
+      << "a cold server has nothing to serve";
+
+  ASSERT_TRUE(Server.replaceUnit("heavy", Edited));
+  RecompileStats Warm = Server.recompile();
+  ASSERT_EQ(Warm.RecompiledPrograms, 1u);
+  const PipelineResult *Result = Server.getResult("heavy");
+  ASSERT_NE(Result, nullptr);
+  EXPECT_EQ(Result->Stats.CacheHits, Defined - 1);
+  EXPECT_EQ(Result->Stats.CacheMisses, 1u);
+
+  PipelineResult Fresh =
+      runPipeline(Edited, "heavy", twoRuns(), tracedOptions());
+  expectSameProgram(*Result, Fresh, "warm edit");
 }
 
-TEST(CompileServer, CrashDuringPersistIsQuarantinedAndRetried) {
-  std::string Dir = makeCacheDir("crash_persist");
-  FaultPlan Plan;
-  ASSERT_TRUE(parseFaultPlan("server/cache-persist:throw@2x1", Plan));
-
-  ServerOptions Options;
-  Options.CacheDir = Dir;
-  Options.Pipeline = tracedOptions();
-  Options.Pipeline.Faults = &Plan;
-  CompileServer Server(Options);
-  ASSERT_TRUE(Server.addUnit("a", test::kCallHeavyProgram));
-  ASSERT_TRUE(Server.defineProgram("a", {"a"}, twoRuns()));
-
-  // The recompile itself succeeds; the save crashes mid-write (temp file
-  // half written, like a killed process) and is quarantined as unit
-  // "server" without taking the session down.
-  RecompileStats Stats = Server.recompile();
-  EXPECT_EQ(Stats.RecompiledPrograms, 1u);
-  ASSERT_NE(Server.getResult("a"), nullptr);
-  ASSERT_FALSE(Server.getFailures().empty());
-  const UnitFailure &F = Server.getFailures().back();
-  EXPECT_EQ(F.Unit, "server");
-  EXPECT_EQ(F.Stage, "cache-persist");
-  EXPECT_EQ(F.Reason, "fault-injected");
-  EXPECT_FALSE(std::filesystem::exists(getCacheStorePath(Dir)))
-      << "the crashed save must not have produced a store";
-
-  // The transient fault (attempt bound x1) clears; the next persist —
-  // here via an explicit request — lands atomically.
-  EXPECT_TRUE(Server.persistCache());
-  EXPECT_TRUE(std::filesystem::exists(getCacheStorePath(Dir)));
-  EXPECT_FALSE(std::filesystem::exists(getCacheStorePath(Dir) + ".tmp"));
-
-  // And the store a crashed-then-retried server wrote is loadable.
-  ServerOptions Reload;
-  Reload.CacheDir = Dir;
-  CompileServer Second(Reload);
-  EXPECT_EQ(Second.getInitialCacheStatus(), CacheLoadStatus::Loaded);
-  std::filesystem::remove_all(Dir);
-}
-
-//===----------------------------------------------------------------------===//
-// Failure containment and retry.
 //===----------------------------------------------------------------------===//
 
 TEST(CompileServer, BrokenUnitIsQuarantinedAndFixedByReplace) {
@@ -688,7 +639,6 @@ std::string makeScript(bool WithStats) {
   Script += "recompile one\n";
   if (WithStats)
     Script += "stats\n";
-  Script += "save\n";
   Script += "recompile\n";
   return Script;
 }
@@ -720,7 +670,10 @@ TEST(ServerScript, ReplayIsDeterministic) {
                                 "programs=0 clean=2 failed=0"),
             std::string::npos)
       << Transcripts[0];
-  EXPECT_NE(Transcripts[0].find("[save] ok"), std::string::npos);
+  // A replace reports the size of the source it installed.
+  EXPECT_NE(Transcripts[0].find("[replace] one ("), std::string::npos);
+  EXPECT_EQ(Transcripts[0].find("[replace] one (0 bytes)"), std::string::npos)
+      << Transcripts[0];
 
   // The counter lines are thread-count independent: a 4-thread server
   // replays the same script (minus the hit/miss-split-bearing stats

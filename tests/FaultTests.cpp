@@ -272,10 +272,8 @@ TEST(EngineFaultParity, HealthyBatchIsEngineInvariantUnderVm) {
 // Injected faults: the site x occurrence matrix
 //===----------------------------------------------------------------------===//
 
-/// The pipeline stage each site's failure must be attributed to. Sites
-/// absent here are not pipeline sites: "cache-persist" lives on the
-/// compile server's store-save path and is exercised by the server tier
-/// (tests/CompileServerTests.cpp), never by a plain pipeline run.
+/// The pipeline stage each site's failure must be attributed to. Every
+/// known fault site is a pipeline site.
 const std::map<std::string, std::string> &siteToStage() {
   static const std::map<std::string, std::string> Map = {
       {"parse", "compile"},        {"sema", "compile"},
@@ -303,8 +301,7 @@ TEST(FaultMatrix, EverySiteEveryOccurrence) {
       Baseline.Results[0].FaultSiteHits.end());
 
   for (const std::string &Site : getKnownFaultSites()) {
-    if (!siteToStage().count(Site))
-      continue; // server-scope site; covered by the server tier
+    ASSERT_TRUE(siteToStage().count(Site)) << "unmapped site: " << Site;
     ASSERT_TRUE(Arrivals.count(Site)) << "site never reached: " << Site;
     uint64_t Last = Arrivals[Site];
     ASSERT_GE(Last, 1u) << Site;

@@ -18,7 +18,6 @@
 
 #include "cachesim/ICacheSim.h"
 #include "interp/Engine.h"
-#include "ir/IrVerifier.h"
 #include "vm/Bytecode.h"
 #include "vm/Vm.h"
 
@@ -192,92 +191,11 @@ TEST(BytecodeCompile, DisassemblerRendersEveryInstruction) {
   EXPECT_GE(Lines, 1u);
   EXPECT_STREQ(getVmOpName(VmOp::CmpLtBr), "cmp_lt_br");
   EXPECT_STREQ(getVmOpName(VmOp::CallUser), "call_user");
-  EXPECT_STREQ(getVmOpName(VmOp::LoadOpStore), "load_op_store");
 }
 
 //===----------------------------------------------------------------------===//
 // Superinstructions: compile-time fusion + bit-exact execution
 //===----------------------------------------------------------------------===//
-
-/// g = 5; main: g = g + 3; return g  — hand-built so the Load/Add/Store
-/// triple provably matches the fusion preconditions (the MiniC frontend
-/// re-materializes address registers, which usually breaks them).
-Module makeLoadOpStoreModule(Opcode BinOp, int64_t Operand,
-                             int64_t GlobalInit) {
-  Module M;
-  M.Name = "fused";
-  M.addGlobal("g", 1, {GlobalInit});
-  FuncId Id = M.addFunction("main", 0, false, false);
-  Function &F = M.getFunction(Id);
-  M.MainId = Id;
-  Reg Addr = F.addReg();
-  Reg Rhs = F.addReg();
-  Reg Loaded = F.addReg();
-  Reg Result = F.addReg();
-  Reg Final = F.addReg();
-  BlockId B = F.addBlock();
-  BasicBlock &Blk = F.getBlock(B);
-  Blk.Instrs.push_back(Instr::makeGlobalAddr(Addr, 0));
-  Blk.Instrs.push_back(Instr::makeLdImm(Rhs, Operand));
-  Blk.Instrs.push_back(Instr::makeLoad(Loaded, Addr));
-  Blk.Instrs.push_back(Instr::makeBinary(BinOp, Result, Loaded, Rhs));
-  Blk.Instrs.push_back(Instr::makeStore(Addr, Result));
-  Blk.Instrs.push_back(Instr::makeLoad(Final, Addr));
-  Blk.Instrs.push_back(Instr::makeRet(Final));
-  return M;
-}
-
-TEST(Superinstructions, LoadOpStoreFusesAndExecutes) {
-  Module M = makeLoadOpStoreModule(Opcode::Add, 3, 5);
-  ASSERT_TRUE(verifyModule(M).empty());
-
-  VmProgram P = compileToBytecode(M);
-  EXPECT_EQ(P.Stats.FusedLoadOpStore, 1u);
-
-  VmRunStats Stats;
-  ExecResult W = expectEnginesAgree(M, RunOptions(), "load_op_store",
-                                    &Stats);
-  EXPECT_TRUE(W.ok());
-  EXPECT_EQ(W.ExitCode, 8);
-  // 7 IL instructions executed; the fused triple counts as 3 of them.
-  EXPECT_EQ(W.Stats.InstrCount, 7u);
-  EXPECT_EQ(Stats.FusedLoadOpStore, 1u);
-  EXPECT_EQ(Stats.IlSteps, 7u);
-  EXPECT_GT(Stats.getFusedStepFraction(), 0.0);
-}
-
-TEST(Superinstructions, FusedDivTrapsLikeTheWalker) {
-  // g = 9; g = g / 0 — the trap fires *inside* the superinstruction, after
-  // the Load already counted.
-  Module M = makeLoadOpStoreModule(Opcode::Div, 0, 9);
-  ASSERT_TRUE(verifyModule(M).empty());
-  VmProgram P = compileToBytecode(M);
-  ASSERT_EQ(P.Stats.FusedLoadOpStore, 1u);
-
-  ExecResult W = expectEnginesAgree(M, RunOptions(), "fused div trap");
-  EXPECT_EQ(W.St, ExecResult::Status::Trapped);
-  EXPECT_EQ(W.TrapMessage, "division by zero");
-  // global_addr, ld_imm, load, div — the div itself is counted executed.
-  EXPECT_EQ(W.Stats.InstrCount, 4u);
-}
-
-TEST(Superinstructions, StepLimitExhaustsInsideFusedTriple) {
-  // Limits 0..7 sweep the step limit across the fused Load/Add/Store, so
-  // exhaustion lands mid-superinstruction; every stop point must agree
-  // with the walker bit for bit (status, InstrCount, OpcodeCounts).
-  Module M = makeLoadOpStoreModule(Opcode::Add, 3, 5);
-  for (uint64_t Limit = 0; Limit <= 7; ++Limit) {
-    RunOptions Opts;
-    Opts.StepLimit = Limit;
-    ExecResult W =
-        expectEnginesAgree(M, Opts, "limit=" + std::to_string(Limit));
-    if (Limit < 7) {
-      EXPECT_EQ(W.St, ExecResult::Status::StepLimitExceeded)
-          << "limit=" << Limit;
-    }
-    EXPECT_EQ(W.Stats.InstrCount, Limit < 7 ? Limit : 7u);
-  }
-}
 
 TEST(Superinstructions, CmpBrFusesOnCompiledLoops) {
   // A counted loop compiles to cmp + cond_br, the compare-and-branch
@@ -304,6 +222,36 @@ int main() {
   EXPECT_GT(Stats.getFusedStepFraction(), 0.0);
   EXPECT_LE(Stats.getFusedStepFraction(), 1.0);
   EXPECT_EQ(Stats.IlSteps, W.Stats.InstrCount);
+}
+
+TEST(Superinstructions, StepLimitExhaustsInsideFusedCmpBr) {
+  // Every step limit up to the full run: some land between the compare
+  // and the branch of a fused cmp_br pair, and every stop point must
+  // agree with the walker bit for bit (status, InstrCount, OpcodeCounts).
+  const char *Source = R"MC(
+int main() {
+  int i;
+  i = 0;
+  while (i < 3) { i = i + 1; }
+  return i;
+}
+)MC";
+  Module M = test::compileOk(Source);
+  ASSERT_GT(compileToBytecode(M).Stats.FusedCmpBr, 0u);
+  ExecResult Full = expectEnginesAgree(M, RunOptions(), "unlimited");
+  ASSERT_TRUE(Full.ok());
+  uint64_t Total = Full.Stats.InstrCount;
+  for (uint64_t Limit = 0; Limit <= Total; ++Limit) {
+    RunOptions Opts;
+    Opts.StepLimit = Limit;
+    ExecResult W =
+        expectEnginesAgree(M, Opts, "limit=" + std::to_string(Limit));
+    if (Limit < Total) {
+      EXPECT_EQ(W.St, ExecResult::Status::StepLimitExceeded)
+          << "limit=" << Limit;
+    }
+    EXPECT_EQ(W.Stats.InstrCount, Limit);
+  }
 }
 
 //===----------------------------------------------------------------------===//
