@@ -403,8 +403,6 @@ int writeBenchJson(const std::string &Path) {
   bench::appendFormat(Json, "  \"bench\": \"interp\",\n");
   bench::appendFormat(Json, "  \"suite_programs\": %zu,\n", Programs.size());
   bench::appendFormat(Json, "  \"runs_per_program\": %u,\n", Runs);
-  bench::appendFormat(Json, "  \"dispatch\": \"%s\",\n",
-                      hasComputedGotoDispatch() ? "computed-goto" : "switch");
   bench::appendFormat(Json, "  \"engines\": {\n");
   bench::appendFormat(Json,
                       "    \"walk\": {\"profile_wall_s\": %.6f, \"il_per_s\": "

@@ -96,7 +96,7 @@ int main(int argc, char **argv) {
               formatPercent(100 * Calls / (Calls + Cts)).c_str());
 
   // Ablation lattice: what the widened optimizer (opt/Peephole.h,
-  // opt/Sccp.h, opt/LoopInvariantCodeMotion.h) recovers on top of the
+  // opt/LoopInvariantCodeMotion.h) recovers on top of the
   // classic quartet, with and without inline expansion. Pass sets are
   // cumulative; the inline arm also runs the same set post-inline on
   // every caller that received a body (InlineOptions::PostOpt), which is
@@ -107,14 +107,12 @@ int main(int argc, char **argv) {
   struct AblationPoint {
     const char *Label;
     bool Peephole;
-    bool Sccp;
     bool Licm;
   };
   const AblationPoint Points[] = {
-      {"quartet", false, false, false},
-      {"+peephole", true, false, false},
-      {"+sccp", true, true, false},
-      {"+licm", true, true, true},
+      {"quartet", false, false},
+      {"+peephole", true, false},
+      {"+licm", true, true},
   };
   TableWriter A({"passes", "inline", "static IL", "dyn IL/run",
                  "dyn CT/run"});
@@ -124,7 +122,6 @@ int main(int argc, char **argv) {
   for (const AblationPoint &P : Points) {
     OptOptions Passes;
     Passes.Peephole = P.Peephole;
-    Passes.Sccp = P.Sccp;
     Passes.LoopInvariantCodeMotion = P.Licm;
     for (bool Inline : {false, true}) {
       PipelineOptions Options;
@@ -174,19 +171,19 @@ int main(int argc, char **argv) {
     }
     if (Best != BaselineDynIl.size())
       std::printf("largest post-inline dynamic IL reduction from "
-                  "sccp+peephole+licm: %s (%s fewer IL/run)\n",
+                  "peephole+licm: %s (%s fewer IL/run)\n",
                   ProgramNames[Best].c_str(),
                   formatPercent(BestDec).c_str());
   }
 
   // Range ablation: the interprocedural range/purity analysis
-  // (analysis/RangeAnalysis.h) feeds sccp (edge pruning + singleton
-  // folds), peephole (nonneg strength reduction), and licm (hoisting
-  // proven-nonzero divisions, in-bounds loads, and pure calls). The
-  // inline arm is where the formal-argument summaries bite: expansion
-  // turns interprocedural facts into intraprocedural ones.
+  // (analysis/RangeAnalysis.h) feeds peephole (nonneg strength
+  // reduction) and licm (hoisting proven-nonzero divisions, in-bounds
+  // loads, and pure calls). The inline arm is where the formal-argument
+  // summaries bite: expansion turns interprocedural facts into
+  // intraprocedural ones.
   std::printf("\nAblation: interprocedural range analysis (base = "
-              "quartet+peephole+sccp+licm)\n\n");
+              "quartet+peephole+licm)\n\n");
   TableWriter R({"ranges", "inline", "static IL", "dyn IL/run",
                  "dyn CT/run"});
   std::vector<std::string> RangeNames;
@@ -194,7 +191,6 @@ int main(int argc, char **argv) {
   for (bool Ranges : {false, true}) {
     OptOptions Passes;
     Passes.Peephole = true;
-    Passes.Sccp = true;
     Passes.LoopInvariantCodeMotion = true;
     Passes.Ranges = Ranges;
     for (bool Inline : {false, true}) {

@@ -468,13 +468,6 @@ void RangeAnalysis::solve() {
   }
 }
 
-RangeAnalysis::Env RangeAnalysis::blockOut(BlockId B) const {
-  Env E = In[static_cast<size_t>(B)];
-  for (const Instr &I : F.Blocks[static_cast<size_t>(B)].Instrs)
-    step(I, E);
-  return E;
-}
-
 Interval RangeAnalysis::eval(const Instr &I, const Env &E) const {
   Interval A = get(E, I.Src1);
   Interval B = get(E, I.Src2);

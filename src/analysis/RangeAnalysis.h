@@ -209,10 +209,6 @@ public:
   /// Register state on entry to \p B (bottom-filled when unreachable).
   const Env &blockIn(BlockId B) const { return In[static_cast<size_t>(B)]; }
 
-  /// Register state after \p B's body (blockIn stepped through every
-  /// instruction).
-  Env blockOut(BlockId B) const;
-
   /// Interval a register holds in \p E (top for out-of-range registers,
   /// e.g. ones allocated by a rewriting pass after this analysis ran).
   static Interval get(const Env &E, Reg R) {
@@ -230,14 +226,14 @@ public:
   /// with what later instructions were analyzed against.
   void step(const Instr &I, Env &E) const;
 
-  /// Edge refinement: sharpens \p E along the From->To branch using the
-  /// terminator (and its defining comparison). Returns false when the
-  /// edge is provably never taken. Used by the solver and by SCCP.
-  bool refineEdge(BlockId From, BlockId To, Env &E) const;
-
 private:
   friend struct RangeDomain;
   void solve();
+
+  /// Edge refinement: sharpens \p E along the From->To branch using the
+  /// terminator (and its defining comparison). Returns false when the
+  /// edge is provably never taken.
+  bool refineEdge(BlockId From, BlockId To, Env &E) const;
 
   const Function &F;
   const Cfg &G;

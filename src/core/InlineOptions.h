@@ -75,7 +75,7 @@ struct InlineOptions {
 
   /// Pass selection for the post-inline cleanup (meaningful only when
   /// PostInlineOptimize is set). Defaults to the classic quartet; the
-  /// table4 ablation lattice layers SCCP / peephole / LICM on top to
+  /// table4 ablation lattice layers peephole / LICM on top to
   /// measure what each recovers from the inliner's parameter moves and
   /// jump scaffolding.
   OptOptions PostOpt;

@@ -42,9 +42,16 @@ InlineResult impact::runInlineExpansion(Module &M, const ProfileData &Profile,
       Ctx.Facts = &Facts;
       RC = &Ctx;
     }
-    for (const ExpansionRecord &R : Result.Expansions)
+    // A caller that received several bodies is cleaned once, in order of
+    // its first expansion.
+    std::vector<char> Cleaned(M.Funcs.size(), 0);
+    for (const ExpansionRecord &R : Result.Expansions) {
+      if (Cleaned[static_cast<size_t>(R.Caller)])
+        continue;
+      Cleaned[static_cast<size_t>(R.Caller)] = 1;
       runOptimizationPipeline(M.getFunction(R.Caller), Options.PostOpt,
                               nullptr, RC);
+    }
   }
 
   if (Options.EliminateDeadFunctions)

@@ -18,7 +18,7 @@ std::string FunctionDefinitionCache::makeKey(const Function &F,
   // field that changes the struct's layout; the exhaustive toggle test
   // (PipelineTests, CacheKeyCoversEveryOptOption) catches one that
   // padding hides — update both together with this fingerprint.
-  static_assert(sizeof(OptOptions) == 16,
+  static_assert(sizeof(OptOptions) == 12,
                 "OptOptions changed: update makeKey's option fingerprint "
                 "and the sizeof above");
   std::string Key;
@@ -30,7 +30,6 @@ std::string FunctionDefinitionCache::makeKey(const Function &F,
   Key += static_cast<char>('0' + Opts.CopyPropagation);
   Key += static_cast<char>('0' + Opts.DeadCodeElimination);
   Key += static_cast<char>('0' + Opts.TailRecursionElimination);
-  Key += static_cast<char>('0' + Opts.Sccp);
   Key += static_cast<char>('0' + Opts.Peephole);
   Key += static_cast<char>('0' + Opts.LoopInvariantCodeMotion);
   Key += static_cast<char>('0' + Opts.Ranges);

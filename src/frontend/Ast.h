@@ -19,7 +19,9 @@
 #include "support/Casting.h"
 #include "support/SourceLocation.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,12 +58,26 @@ public:
   Type getType() const { return Ty; }
   void setType(Type T) { Ty = T; }
 
+  /// Levels in this expression's tree (1 for a leaf). The parser rejects
+  /// trees taller than its nesting budget (frontend/Parser.h).
+  unsigned getHeight() const { return Height; }
+
 protected:
-  Expr(ExprKind Kind, SourceLoc Loc) : Kind(Kind), Loc(Loc) {}
+  Expr(ExprKind Kind, SourceLoc Loc, unsigned Height = 1)
+      : Kind(Kind), Loc(Loc), Height(Height) {}
+
+  /// One level above the tallest of \p Children.
+  static unsigned above(std::initializer_list<const Expr *> Children) {
+    unsigned H = 0;
+    for (const Expr *C : Children)
+      H = std::max(H, C->Height);
+    return H + 1;
+  }
 
 private:
   ExprKind Kind;
   SourceLoc Loc;
+  unsigned Height;
   Type Ty = Type::makeInt();
 };
 
@@ -134,7 +150,8 @@ enum class UnaryOpKind {
 class UnaryExpr : public Expr {
 public:
   UnaryExpr(SourceLoc Loc, UnaryOpKind Op, ExprPtr Operand)
-      : Expr(ExprKind::Unary, Loc), Op(Op), Operand(std::move(Operand)) {}
+      : Expr(ExprKind::Unary, Loc, above({Operand.get()})), Op(Op),
+        Operand(std::move(Operand)) {}
 
   UnaryOpKind getOp() const { return Op; }
   Expr *getOperand() const { return Operand.get(); }
@@ -170,8 +187,8 @@ enum class BinaryOpKind {
 class BinaryExpr : public Expr {
 public:
   BinaryExpr(SourceLoc Loc, BinaryOpKind Op, ExprPtr Lhs, ExprPtr Rhs)
-      : Expr(ExprKind::Binary, Loc), Op(Op), Lhs(std::move(Lhs)),
-        Rhs(std::move(Rhs)) {}
+      : Expr(ExprKind::Binary, Loc, above({Lhs.get(), Rhs.get()})), Op(Op),
+        Lhs(std::move(Lhs)), Rhs(std::move(Rhs)) {}
 
   BinaryOpKind getOp() const { return Op; }
   Expr *getLhs() const { return Lhs.get(); }
@@ -194,8 +211,8 @@ enum class AssignOpKind { Assign, AddAssign, SubAssign, MulAssign, DivAssign,
 class AssignExpr : public Expr {
 public:
   AssignExpr(SourceLoc Loc, AssignOpKind Op, ExprPtr Lhs, ExprPtr Rhs)
-      : Expr(ExprKind::Assign, Loc), Op(Op), Lhs(std::move(Lhs)),
-        Rhs(std::move(Rhs)) {}
+      : Expr(ExprKind::Assign, Loc, above({Lhs.get(), Rhs.get()})), Op(Op),
+        Lhs(std::move(Lhs)), Rhs(std::move(Rhs)) {}
 
   AssignOpKind getOp() const { return Op; }
   Expr *getLhs() const { return Lhs.get(); }
@@ -214,8 +231,9 @@ private:
 class ConditionalExpr : public Expr {
 public:
   ConditionalExpr(SourceLoc Loc, ExprPtr Cond, ExprPtr Then, ExprPtr Else)
-      : Expr(ExprKind::Conditional, Loc), Cond(std::move(Cond)),
-        Then(std::move(Then)), Else(std::move(Else)) {}
+      : Expr(ExprKind::Conditional, Loc,
+             above({Cond.get(), Then.get(), Else.get()})),
+        Cond(std::move(Cond)), Then(std::move(Then)), Else(std::move(Else)) {}
 
   Expr *getCond() const { return Cond.get(); }
   Expr *getThen() const { return Then.get(); }
@@ -234,8 +252,8 @@ private:
 class CallExpr : public Expr {
 public:
   CallExpr(SourceLoc Loc, ExprPtr Callee, std::vector<ExprPtr> Args)
-      : Expr(ExprKind::Call, Loc), Callee(std::move(Callee)),
-        Args(std::move(Args)) {}
+      : Expr(ExprKind::Call, Loc, heightOf(*Callee, Args)),
+        Callee(std::move(Callee)), Args(std::move(Args)) {}
 
   Expr *getCallee() const { return Callee.get(); }
   const std::vector<ExprPtr> &getArgs() const { return Args; }
@@ -248,6 +266,14 @@ public:
   static bool classof(const Expr *E) { return E->getKind() == ExprKind::Call; }
 
 private:
+  static unsigned heightOf(const Expr &Callee,
+                           const std::vector<ExprPtr> &Args) {
+    unsigned H = Callee.getHeight();
+    for (const ExprPtr &A : Args)
+      H = std::max(H, A->getHeight());
+    return H + 1;
+  }
+
   ExprPtr Callee;
   std::vector<ExprPtr> Args;
   FunctionDecl *DirectCallee = nullptr;
@@ -257,8 +283,8 @@ private:
 class IndexExpr : public Expr {
 public:
   IndexExpr(SourceLoc Loc, ExprPtr Base, ExprPtr Index)
-      : Expr(ExprKind::Index, Loc), Base(std::move(Base)),
-        Index(std::move(Index)) {}
+      : Expr(ExprKind::Index, Loc, above({Base.get(), Index.get()})),
+        Base(std::move(Base)), Index(std::move(Index)) {}
 
   Expr *getBase() const { return Base.get(); }
   Expr *getIndex() const { return Index.get(); }

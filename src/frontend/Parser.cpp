@@ -7,6 +7,7 @@
 #include "frontend/Parser.h"
 
 #include <cassert>
+#include <string>
 
 using namespace impact;
 
@@ -31,6 +32,8 @@ bool Parser::accept(TokenKind Kind) {
 bool Parser::expect(TokenKind Kind, const char *Context) {
   if (accept(Kind))
     return true;
+  if (TooDeep)
+    return false; // the input was abandoned; one diagnostic is enough
   Diags.error(Tok.Loc, std::string("expected ") + getTokenKindName(Kind) +
                            " " + Context + ", found " +
                            getTokenKindName(Tok.Kind));
@@ -63,6 +66,42 @@ void Parser::synchronizeToStmtBoundary() {
          !check(TokenKind::RBrace))
     consume();
   accept(TokenKind::Semicolon);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting budget
+//===----------------------------------------------------------------------===//
+
+Parser::NestingScope::NestingScope(Parser &P) : P(P), Entered(false) {
+  if (P.TooDeep)
+    return;
+  if (P.Depth == kMaxNestingDepth) {
+    P.reportTooDeep();
+    return;
+  }
+  ++P.Depth;
+  Entered = true;
+}
+
+Parser::NestingScope::~NestingScope() {
+  if (Entered)
+    --P.Depth;
+}
+
+ExprPtr Parser::checkHeight(ExprPtr E) {
+  if (E->getHeight() <= kMaxNestingDepth)
+    return E;
+  reportTooDeep();
+  return nullptr;
+}
+
+void Parser::reportTooDeep() {
+  if (!TooDeep)
+    Diags.error(Tok.Loc, "nesting budget exceeded: more than " +
+                             std::to_string(kMaxNestingDepth) + " levels");
+  TooDeep = true;
+  while (!check(TokenKind::Eof))
+    consume();
 }
 
 //===----------------------------------------------------------------------===//
@@ -284,6 +323,9 @@ std::unique_ptr<VarDecl> Parser::parseLocalDecl() {
 //===----------------------------------------------------------------------===//
 
 StmtPtr Parser::parseStmt() {
+  NestingScope Nest(*this);
+  if (!Nest)
+    return nullptr;
   switch (Tok.Kind) {
   case TokenKind::LBrace:
     return parseCompound();
@@ -426,6 +468,9 @@ StmtPtr Parser::parseReturn() {
 ExprPtr Parser::parseExpr() { return parseAssignment(); }
 
 ExprPtr Parser::parseAssignment() {
+  NestingScope Nest(*this);
+  if (!Nest)
+    return nullptr;
   ExprPtr Lhs = parseConditional();
   if (!Lhs)
     return nullptr;
@@ -457,8 +502,9 @@ ExprPtr Parser::parseAssignment() {
   ExprPtr Rhs = parseAssignment(); // right-associative
   if (!Rhs)
     return nullptr;
-  return std::make_unique<AssignExpr>(OpTok.Loc, Op, std::move(Lhs),
-                                      std::move(Rhs));
+  return checkHeight(std::make_unique<AssignExpr>(OpTok.Loc, Op,
+                                                  std::move(Lhs),
+                                                  std::move(Rhs)));
 }
 
 ExprPtr Parser::parseConditional() {
@@ -468,11 +514,14 @@ ExprPtr Parser::parseConditional() {
   Token QTok = consume();
   ExprPtr Then = parseAssignment();
   expect(TokenKind::Colon, "in conditional expression");
+  NestingScope Nest(*this);
+  if (!Nest)
+    return nullptr;
   ExprPtr Else = parseConditional();
   if (!Then || !Else)
     return nullptr;
-  return std::make_unique<ConditionalExpr>(QTok.Loc, std::move(Cond),
-                                           std::move(Then), std::move(Else));
+  return checkHeight(std::make_unique<ConditionalExpr>(
+      QTok.Loc, std::move(Cond), std::move(Then), std::move(Else)));
 }
 
 namespace {
@@ -570,8 +619,11 @@ ExprPtr Parser::parseBinary(int MinPrec) {
     ExprPtr Rhs = parseBinary(Prec + 1); // all binary ops are left-assoc
     if (!Rhs)
       return nullptr;
-    Lhs = std::make_unique<BinaryExpr>(OpTok.Loc, getBinaryOpKind(OpTok.Kind),
-                                       std::move(Lhs), std::move(Rhs));
+    Lhs = checkHeight(std::make_unique<BinaryExpr>(
+        OpTok.Loc, getBinaryOpKind(OpTok.Kind), std::move(Lhs),
+        std::move(Rhs)));
+    if (!Lhs)
+      return nullptr;
   }
 }
 
@@ -603,10 +655,14 @@ ExprPtr Parser::parseUnary() {
     return parsePostfix();
   }
   Token OpTok = consume();
+  NestingScope Nest(*this);
+  if (!Nest)
+    return nullptr;
   ExprPtr Operand = parseUnary();
   if (!Operand)
     return nullptr;
-  return std::make_unique<UnaryExpr>(OpTok.Loc, Op, std::move(Operand));
+  return checkHeight(
+      std::make_unique<UnaryExpr>(OpTok.Loc, Op, std::move(Operand)));
 }
 
 ExprPtr Parser::parsePostfix() {
@@ -626,7 +682,10 @@ ExprPtr Parser::parsePostfix() {
         } while (accept(TokenKind::Comma));
       }
       expect(TokenKind::RParen, "after call arguments");
-      E = std::make_unique<CallExpr>(LTok.Loc, std::move(E), std::move(Args));
+      E = checkHeight(
+          std::make_unique<CallExpr>(LTok.Loc, std::move(E), std::move(Args)));
+      if (!E)
+        return nullptr;
       continue;
     }
     if (check(TokenKind::LBracket)) {
@@ -635,20 +694,26 @@ ExprPtr Parser::parsePostfix() {
       expect(TokenKind::RBracket, "after array index");
       if (!Index)
         return nullptr;
-      E = std::make_unique<IndexExpr>(LTok.Loc, std::move(E),
-                                      std::move(Index));
+      E = checkHeight(std::make_unique<IndexExpr>(LTok.Loc, std::move(E),
+                                                  std::move(Index)));
+      if (!E)
+        return nullptr;
       continue;
     }
     if (check(TokenKind::PlusPlus)) {
       Token T = consume();
-      E = std::make_unique<UnaryExpr>(T.Loc, UnaryOpKind::PostInc,
-                                      std::move(E));
+      E = checkHeight(std::make_unique<UnaryExpr>(T.Loc, UnaryOpKind::PostInc,
+                                                  std::move(E)));
+      if (!E)
+        return nullptr;
       continue;
     }
     if (check(TokenKind::MinusMinus)) {
       Token T = consume();
-      E = std::make_unique<UnaryExpr>(T.Loc, UnaryOpKind::PostDec,
-                                      std::move(E));
+      E = checkHeight(std::make_unique<UnaryExpr>(T.Loc, UnaryOpKind::PostDec,
+                                                  std::move(E)));
+      if (!E)
+        return nullptr;
       continue;
     }
     return E;

@@ -14,6 +14,15 @@
 
 namespace impact {
 
+/// The parser's nesting budget, one constant for two bounds. Recursion:
+/// each nested statement, full expression (parenthesis, call argument,
+/// index, assignment right-hand side, conditional arm) and unary operand
+/// costs one level. Height: no expression tree may be taller, which
+/// bounds the left-deep trees that loops build for operator and postfix
+/// chains without recursing. Deeper input is one error diagnostic, so
+/// Sema, IrGen and AST destruction only ever walk bounded trees.
+inline constexpr unsigned kMaxNestingDepth = 256;
+
 /// Recursive-descent parser producing a TranslationUnit. On syntax errors
 /// it reports a diagnostic and synchronizes to the next statement/decl
 /// boundary, so one pass can surface several errors. Callers must check
@@ -35,6 +44,26 @@ private:
   bool expect(TokenKind Kind, const char *Context);
   void synchronizeToDeclBoundary();
   void synchronizeToStmtBoundary();
+
+  // Nesting budget (kMaxNestingDepth).
+  /// Holds one nesting level while alive; converts to false, entering
+  /// nothing, once the budget is spent.
+  class NestingScope {
+  public:
+    explicit NestingScope(Parser &P);
+    ~NestingScope();
+    explicit operator bool() const { return Entered; }
+
+  private:
+    Parser &P;
+    bool Entered;
+  };
+  /// Returns \p E, or null after reporting when it is taller than the
+  /// budget.
+  ExprPtr checkHeight(ExprPtr E);
+  /// Reports the overrun once and skips the rest of the input, so no
+  /// enclosing construct can keep building.
+  void reportTooDeep();
 
   // Types and declarators.
   bool isTypeStart() const;
@@ -70,6 +99,8 @@ private:
   Lexer Lex;
   DiagnosticEngine &Diags;
   Token Tok;
+  unsigned Depth = 0;
+  bool TooDeep = false;
 };
 
 } // namespace impact

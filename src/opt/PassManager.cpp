@@ -13,7 +13,6 @@
 #include "opt/JumpOptimization.h"
 #include "opt/LoopInvariantCodeMotion.h"
 #include "opt/Peephole.h"
-#include "opt/Sccp.h"
 #include "opt/TailRecursionElimination.h"
 #include "support/Stopwatch.h"
 #include "support/StringUtils.h"
@@ -47,7 +46,6 @@ constexpr PassFlag Passes[] = {
     {"copy", &OptOptions::CopyPropagation},
     {"dce", &OptOptions::DeadCodeElimination},
     {"tre", &OptOptions::TailRecursionElimination},
-    {"sccp", &OptOptions::Sccp},
     {"peephole", &OptOptions::Peephole},
     {"licm", &OptOptions::LoopInvariantCodeMotion},
     {"ranges", &OptOptions::Ranges},
@@ -129,7 +127,7 @@ bool impact::runOptimizationPipeline(Function &F, const OptOptions &Opts,
   Stopwatch Total;
   if (Stats)
     Stats->FunctionsVisited += 1;
-  // Range facts reach the three range-aware passes only when the knob is
+  // Range facts reach the two range-aware passes only when the knob is
   // on. Per-function callers (the cache-keyed pre-opt path) get a purely
   // intraprocedural context — the only facts that stay sound for a body
   // cached independently of the rest of the module.
@@ -150,13 +148,10 @@ bool impact::runOptimizationPipeline(Function &F, const OptOptions &Opts,
     if (Opts.CopyPropagation)
       Changed |= runTimed(Stats ? &Stats->CopyPropagation : nullptr, F,
                           [](Function &G) { return runCopyPropagation(G); });
-    // SCCP first turns conditional structure into constants, folding and
-    // the peephole then shrink straight-line code, jump optimization
-    // unlinks the arms SCCP proved dead, and LICM hoists from the cleaned
-    // loops so DCE can sweep what the motion exposed.
-    if (Opts.Sccp)
-      Changed |= runTimed(Stats ? &Stats->Sccp : nullptr, F,
-                          [RC](Function &G) { return runSccp(G, RC); });
+    // Folding and the peephole shrink straight-line code, jump
+    // optimization unlinks the arms a folded branch left dead, and LICM
+    // hoists from the cleaned loops so DCE can sweep what the motion
+    // exposed.
     if (Opts.ConstantFolding)
       Changed |= runTimed(Stats ? &Stats->ConstantFolding : nullptr, F,
                           [](Function &G) { return runConstantFolding(G); });

@@ -31,17 +31,16 @@ struct OptOptions {
   /// Off by default: the paper's measurements do not include it, and it
   /// assumes C's uninitialized-local semantics (see the pass header).
   bool TailRecursionElimination = false;
-  /// The post-inline cleanup trio (opt/Sccp.h, opt/Peephole.h,
+  /// The post-inline cleanup pair (opt/Peephole.h,
   /// opt/LoopInvariantCodeMotion.h). Off by default: the paper's Table 4
   /// baseline predates them; the ablation benches and --passes= turn
   /// them on.
-  bool Sccp = false;
   bool Peephole = false;
   bool LoopInvariantCodeMotion = false;
-  /// Feed interval range facts (analysis/RangeAnalysis.h) to SCCP,
-  /// peephole, and LICM: range-folded comparisons, proven-safe strength
-  /// reduction, and hoisting of proven-nonzero divisions / in-bounds
-  /// loads / pure calls. Per-function pipelines analyze intraprocedurally;
+  /// Feed interval range facts (analysis/RangeAnalysis.h) to peephole
+  /// and LICM: range-constant operands, proven-safe strength reduction,
+  /// and hoisting of proven-nonzero divisions / in-bounds loads / pure
+  /// calls. Per-function pipelines analyze intraprocedurally;
   /// module-level pipelines add the interprocedural summaries.
   bool Ranges = false;
   unsigned MaxIterations = 4;
@@ -59,7 +58,7 @@ std::string renderOptPasses(const OptOptions &Opts);
 /// Parses a pass-selection spec into \p Out, the grammar the analyzer's
 /// rule specs use: "all" (or empty/"1"/"on") enables everything; a
 /// comma-separated list of pass names ("fold", "jump", "copy", "dce",
-/// "tre", "sccp", "peephole", "licm") enables exactly those; "-name"
+/// "tre", "peephole", "licm", "ranges") enables exactly those; "-name"
 /// disables one, and a spec of only negatives subtracts from everything
 /// ("all,-licm" == "-licm"). MaxIterations is untouched. Returns false
 /// and fills \p Error (when non-null) on an unknown name.
@@ -85,7 +84,6 @@ struct PassTiming {
 struct OptStats {
   PassTiming TailRecursionElimination;
   PassTiming CopyPropagation;
-  PassTiming Sccp;
   PassTiming ConstantFolding;
   PassTiming Peephole;
   PassTiming JumpOptimization;
@@ -103,7 +101,6 @@ struct OptStats {
   void merge(const OptStats &Other) {
     TailRecursionElimination.merge(Other.TailRecursionElimination);
     CopyPropagation.merge(Other.CopyPropagation);
-    Sccp.merge(Other.Sccp);
     ConstantFolding.merge(Other.ConstantFolding);
     Peephole.merge(Other.Peephole);
     JumpOptimization.merge(Other.JumpOptimization);

@@ -4,13 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The executor half of the bytecode VM. The dispatch loop itself lives in
-// VmExecLoop.inc and is compiled twice — computed-goto and tight-switch —
-// over the same handler bodies; everything cold (frame push/pop, result
-// composition) lives here. Interpreter.cpp is the semantics oracle: every
-// observable (output, exit code, trap strings, step accounting, profile
-// counters) is reproduced bit for bit, which the differential test tier
-// enforces.
+// The executor half of the bytecode VM. The computed-goto dispatch loop
+// itself lives in VmExecLoop.inc and is compiled twice — full
+// instrumentation and minimum coverage — over the same handler bodies;
+// everything cold (frame push/pop, result composition) lives here.
+// Interpreter.cpp is the semantics oracle: every observable (output, exit
+// code, trap strings, step accounting, profile counters) is reproduced bit
+// for bit, which the differential test tier enforces.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +26,6 @@
 #include <utility>
 
 using namespace impact;
-
-#if defined(__GNUC__) || defined(__clang__)
-#define IMPACT_VM_HAS_COMPUTED_GOTO 1
-#else
-#define IMPACT_VM_HAS_COMPUTED_GOTO 0
-#endif
 
 namespace {
 
@@ -65,7 +59,7 @@ public:
     }
   }
 
-  ExecResult run(bool UseGoto) {
+  ExecResult run() {
     if (P.MainId == kNoFunc)
       return makeTrap("module has no main function");
     const VmFunction &F = P.Funcs[P.MainId];
@@ -88,9 +82,9 @@ public:
       ++ArcCounts[static_cast<size_t>(Pr)];
 
     if (P.MinCover)
-      UseGoto ? execLoopGotoMC() : execLoopSwitchMC();
+      execLoopMC();
     else
-      UseGoto ? execLoopGoto() : execLoopSwitch();
+      execLoop();
     return finish();
   }
 
@@ -250,10 +244,8 @@ private:
     Out.push_back(HaltRecord{CurFunc, B, K});
   }
 
-  void execLoopGoto();
-  void execLoopSwitch();
-  void execLoopGotoMC();
-  void execLoopSwitchMC();
+  void execLoop();
+  void execLoopMC();
 
   const VmProgram &P;
   const RunOptions &Opts;
@@ -290,57 +282,26 @@ private:
   std::string PendingTrap;
 };
 
-// Compile the dispatch loop four times over the same handler bodies:
-// {computed-goto, switch} x {full instrumentation, minimum-coverage}.
+// Compile the dispatch loop twice over the same handler bodies: full
+// instrumentation and minimum coverage.
 #define IMPACT_VM_MINCOVER 0
-
-#define IMPACT_VM_USE_GOTO 1
-#define IMPACT_VM_LOOP execLoopGoto
-#define IMPACT_VM_FALLBACK execLoopSwitch
+#define IMPACT_VM_LOOP execLoop
 #include "vm/VmExecLoop.inc"
-#undef IMPACT_VM_USE_GOTO
 #undef IMPACT_VM_LOOP
-#undef IMPACT_VM_FALLBACK
-
-#define IMPACT_VM_USE_GOTO 0
-#define IMPACT_VM_LOOP execLoopSwitch
-#define IMPACT_VM_FALLBACK execLoopSwitch
-#include "vm/VmExecLoop.inc"
-#undef IMPACT_VM_USE_GOTO
-#undef IMPACT_VM_LOOP
-#undef IMPACT_VM_FALLBACK
-
 #undef IMPACT_VM_MINCOVER
+
 #define IMPACT_VM_MINCOVER 1
-
-#define IMPACT_VM_USE_GOTO 1
-#define IMPACT_VM_LOOP execLoopGotoMC
-#define IMPACT_VM_FALLBACK execLoopSwitchMC
+#define IMPACT_VM_LOOP execLoopMC
 #include "vm/VmExecLoop.inc"
-#undef IMPACT_VM_USE_GOTO
 #undef IMPACT_VM_LOOP
-#undef IMPACT_VM_FALLBACK
-
-#define IMPACT_VM_USE_GOTO 0
-#define IMPACT_VM_LOOP execLoopSwitchMC
-#define IMPACT_VM_FALLBACK execLoopSwitchMC
-#include "vm/VmExecLoop.inc"
-#undef IMPACT_VM_USE_GOTO
-#undef IMPACT_VM_LOOP
-#undef IMPACT_VM_FALLBACK
-
 #undef IMPACT_VM_MINCOVER
 
 } // namespace
 
-bool impact::hasComputedGotoDispatch() { return IMPACT_VM_HAS_COMPUTED_GOTO; }
-
 ExecResult impact::runProgramVm(const VmProgram &P, const RunOptions &Opts,
-                                VmRunStats *Stats, VmDispatch Dispatch) {
-  bool UseGoto = Dispatch == VmDispatch::ComputedGoto ||
-                 (Dispatch == VmDispatch::Auto && hasComputedGotoDispatch());
+                                VmRunStats *Stats) {
   VmEngine E(P, Opts);
-  ExecResult Result = E.run(UseGoto);
+  ExecResult Result = E.run();
   if (Stats)
     Stats->merge(E.RunStats);
   if (Opts.FactCheck) {
@@ -352,9 +313,9 @@ ExecResult impact::runProgramVm(const VmProgram &P, const RunOptions &Opts,
 }
 
 ExecResult impact::runProgramVm(const Module &M, const RunOptions &Opts,
-                                VmRunStats *Stats, VmDispatch Dispatch) {
+                                VmRunStats *Stats) {
   if (Opts.ICache)
     return runProgram(M, Opts); // only the walker streams layout addresses
   VmProgram P = compileToBytecode(M, Opts.MinCover);
-  return runProgramVm(P, Opts, Stats, Dispatch);
+  return runProgramVm(P, Opts, Stats);
 }

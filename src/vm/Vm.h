@@ -12,10 +12,8 @@
 /// semantics oracle; the differential test tier asserts the equivalence on
 /// the whole suite and on randomized corpora.
 ///
-/// Dispatch is token-threaded: computed goto where the compiler supports it
-/// (GCC/Clang), with a tight-switch fallback compiled unconditionally so
-/// the two dispatch strategies can be differentially tested against each
-/// other on any toolchain.
+/// Dispatch is token-threaded through computed goto, a GCC/Clang extension
+/// (the library already requires one of the two).
 ///
 /// The VM does not stream per-instruction layout addresses, so
 /// RunOptions::ICache is not honored here — callers that need icache
@@ -31,9 +29,6 @@
 #include "vm/Bytecode.h"
 
 namespace impact {
-
-/// Which dispatch loop to run. Auto picks computed goto when compiled in.
-enum class VmDispatch { Auto, ComputedGoto, Switch };
 
 /// Execution-side superinstruction accounting (the dynamic half of
 /// VmCompileStats). Purely observational; not part of the differential
@@ -58,16 +53,12 @@ struct VmRunStats {
   }
 };
 
-/// True when the computed-goto dispatch loop is compiled in (GCC/Clang).
-bool hasComputedGotoDispatch();
-
 /// Runs \p P from its main function. \p Stats, when non-null, receives the
 /// run's superinstruction counters. RunOptions::ICache is ignored (see
 /// file comment).
 ExecResult runProgramVm(const VmProgram &P,
                         const RunOptions &Opts = RunOptions(),
-                        VmRunStats *Stats = nullptr,
-                        VmDispatch Dispatch = VmDispatch::Auto);
+                        VmRunStats *Stats = nullptr);
 
 /// Convenience: compile \p M and run it once. When \p Opts.ICache is set,
 /// this delegates to the walker (the only engine that streams layout
@@ -76,8 +67,7 @@ ExecResult runProgramVm(const VmProgram &P,
 /// above.
 ExecResult runProgramVm(const Module &M,
                         const RunOptions &Opts = RunOptions(),
-                        VmRunStats *Stats = nullptr,
-                        VmDispatch Dispatch = VmDispatch::Auto);
+                        VmRunStats *Stats = nullptr);
 
 } // namespace impact
 

@@ -15,7 +15,6 @@
 
 #include "analysis/Analyzer.h"
 
-#include "analysis/LoopInfo.h"
 #include "suite/Suite.h"
 
 #include "core/InlinePass.h"
@@ -949,8 +948,8 @@ size_t deadStoresAfter(std::string_view Source, const OptOptions &Passes) {
 
 TEST(AnalyzePipeline, DeadStoresNeverIncreaseUnderWidenedPipeline) {
   // Pipeline-level form of the dead-store audit: suite-wide, turning on
-  // the post-inline trio (sccp, peephole, licm) on top of the quartet
-  // must never mint new dead stores. LICM in particular moves stores-to-
+  // the post-inline pair (peephole, licm) on top of the quartet must
+  // never mint new dead stores. LICM in particular moves stores-to-
   // registers across blocks and DCE follows it — any liveness regression
   // in that dance shows up here as a rising count.
   OptOptions Baseline;
@@ -962,51 +961,6 @@ TEST(AnalyzePipeline, DeadStoresNeverIncreaseUnderWidenedPipeline) {
     EXPECT_LE(deadStoresAfter(Spec.Source, Widened),
               deadStoresAfter(Spec.Source, Baseline));
   }
-}
-
-TEST(AnalyzePipeline, DeadStoreFallsOnSccpAndLicmFixture) {
-  // A fixture built to separate the analyses: s = 42 is dead (both paths
-  // redefine s before t = s reads it), but use-count DCE keeps it because
-  // s IS used downstream. Only SCCP can act — c joins to the constant 1,
-  // the else arm goes unreachable, and the liveness-based dead-store
-  // check (which skips unreachable blocks) loses the finding. The loop at
-  // the end gives LICM real work in the same module, so the assertion
-  // exercises the full widened pipeline, not SCCP alone.
-  const char *Source =
-      "extern int getchar();"
-      "int main() { int c; int s; int t; int i; int a; int b; int acc;"
-      "if (getchar()) c = 1; else c = 1;"
-      "t = 0;"
-      "if (c) { t = 5; }"
-      "else { s = 42; if (getchar()) s = 1; else s = 2; t = s; }"
-      "a = getchar(); b = getchar(); acc = 0;"
-      "for (i = 0; i < t; i++) { acc = acc + a * b; }"
-      "return acc + t; }";
-  OptOptions Baseline;
-  OptOptions Widened;
-  std::string Error;
-  ASSERT_TRUE(parseOptPasses("all,-tre", Widened, &Error)) << Error;
-
-  size_t Before = deadStoresAfter(Source, Baseline);
-  size_t After = deadStoresAfter(Source, Widened);
-  EXPECT_GE(Before, 1u) << "the classic quartet must leave s = 42 behind";
-  EXPECT_LT(After, Before)
-      << "sccp + jump optimization must retire the dead store";
-
-  // And the loop really was LICM territory: the invariant a * b sits at
-  // loop depth 0 after the widened pipeline.
-  Module M = test::compileOk(Source);
-  runOptimizationPipeline(M, Widened);
-  const Function &Main = M.getFunction(M.MainId);
-  std::vector<unsigned> Depth = computeLoopDepths(Main);
-  bool FoundMul = false;
-  for (size_t B = 0; B != Main.Blocks.size(); ++B)
-    for (const Instr &I : Main.Blocks[B].Instrs)
-      if (I.Op == Opcode::Mul) {
-        EXPECT_EQ(Depth[B], 0u) << "a * b must be hoisted";
-        FoundMul = true;
-      }
-  EXPECT_TRUE(FoundMul);
 }
 
 } // namespace

@@ -363,7 +363,7 @@ TEST(BatchPipeline, CachedMatchesUncachedAcrossPassSets) {
   // optimized under an earlier one and diverge from its uncached run.
   FunctionDefinitionCache Shared;
   for (const char *Spec : {"fold,jump,copy,dce", "all",
-                           "sccp,peephole,licm", "all,-dce,-licm"}) {
+                           "peephole,licm", "all,-dce,-licm"}) {
     SCOPED_TRACE(Spec);
     OptOptions Passes;
     std::string Error;

@@ -10,9 +10,8 @@
 /// can lay hands on — the whole 12-benchmark suite and a randomized MiniC
 /// corpus — must produce bit-identical results through the VM: stdout,
 /// exit codes, trap kinds and messages, step counts, per-opcode counts,
-/// and the paper's profile node/arc weights. Both dispatch strategies
-/// (computed goto and switch) are held to the same standard, and the batch
-/// pipeline must be engine-invariant at any job count.
+/// and the paper's profile node/arc weights. The batch pipeline must be
+/// engine-invariant at any job count.
 ///
 /// Run with `ctest -L differential`. The random-corpus width is tunable
 /// via IMPACT_FUZZ_SEEDS (shared with the fuzz tier; default 64).
@@ -50,15 +49,13 @@ unsigned corpusSeedCount() {
   return N < 64 ? 64 : static_cast<unsigned>(N);
 }
 
-/// Walker vs VM (both dispatch strategies) on one run; the full ExecResult
-/// must be bit-identical.
+/// Walker vs VM on one run; the full ExecResult must be bit-identical.
 void expectRunsAgree(const Module &M, const VmProgram &P,
                      const RunOptions &Opts, const std::string &Tag) {
-  ExecResult W = runProgram(M, Opts);
-  ExecResult Goto = runProgramVm(P, Opts, nullptr, VmDispatch::ComputedGoto);
-  ExecResult Switch = runProgramVm(P, Opts, nullptr, VmDispatch::Switch);
-  EXPECT_EQ(describeResultDifference(W, Goto), "") << Tag << " (goto)";
-  EXPECT_EQ(describeResultDifference(W, Switch), "") << Tag << " (switch)";
+  EXPECT_EQ(describeResultDifference(runProgram(M, Opts),
+                                     runProgramVm(P, Opts)),
+            "")
+      << Tag;
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,7 +6,13 @@
 
 #include "frontend/Parser.h"
 
+#include "driver/Compilation.h"
+#include "suite/Suite.h"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 using namespace impact;
 
@@ -325,6 +331,98 @@ TEST(Parser, FindFunctionByName) {
   EXPECT_NE(TU->findFunction("a"), nullptr);
   EXPECT_NE(TU->findFunction("b"), nullptr);
   EXPECT_EQ(TU->findFunction("c"), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting budget
+//===----------------------------------------------------------------------===//
+
+/// Compiles \p Source and expects exactly one diagnostic: the budget's.
+void expectRejectedAsTooDeep(const std::string &Source) {
+  CompilationResult R = compileMiniC(Source, "deep");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Errors.find("nesting budget exceeded"), std::string::npos)
+      << R.Errors;
+  EXPECT_EQ(std::count(R.Errors.begin(), R.Errors.end(), '\n'), 1)
+      << "one diagnostic, no cascade: " << R.Errors;
+}
+
+std::string repeat(std::string_view Piece, size_t N) {
+  std::string Out;
+  Out.reserve(Piece.size() * N);
+  for (size_t I = 0; I != N; ++I)
+    Out += Piece;
+  return Out;
+}
+
+TEST(ParserNesting, DeepParenthesesAreRejected) {
+  expectRejectedAsTooDeep("int main() { return " + repeat("(", 10000) + "1" +
+                          repeat(")", 10000) + "; }");
+}
+
+TEST(ParserNesting, LongOperatorChainIsRejected) {
+  // Parsed by a loop, not recursion: the tree height is what is bounded.
+  expectRejectedAsTooDeep("int main() { return 1" + repeat(" + 1", 49999) +
+                          "; }");
+}
+
+TEST(ParserNesting, DeepBlocksAreRejected) {
+  expectRejectedAsTooDeep("int main() { " + repeat("{ ", 100000) +
+                          repeat("} ", 100000) + "return 0; }");
+}
+
+TEST(ParserNesting, LongIfChainIsRejected) {
+  expectRejectedAsTooDeep("int main() { int x; x = 1; " +
+                          repeat("if (x) ", 100000) + "x = 2; return x; }");
+}
+
+TEST(ParserNesting, ChainAtTheBudgetIsAccepted) {
+  // n terms make a tree n levels tall.
+  std::string Chain = "1" + repeat(" + 1", kMaxNestingDepth - 1);
+  CompilationResult R = compileMiniC("int main() { return " + Chain + "; }",
+                                     "edge");
+  ASSERT_TRUE(R.Ok) << R.Errors;
+  expectRejectedAsTooDeep("int main() { return " + Chain + " + 1; }");
+}
+
+/// Deepest statement-plus-expression path under \p S, the depth the
+/// recursive walks after parsing descend.
+unsigned astDepth(const Stmt *S) {
+  if (!S)
+    return 0;
+  auto H = [](const Expr *E) { return E ? E->getHeight() : 0u; };
+  unsigned D = 0;
+  if (const auto *C = dyn_cast<CompoundStmt>(S)) {
+    for (const StmtPtr &Child : C->getBody())
+      D = std::max(D, astDepth(Child.get()));
+  } else if (const auto *I = dyn_cast<IfStmt>(S)) {
+    D = std::max({H(I->getCond()), astDepth(I->getThen()),
+                  astDepth(I->getElse())});
+  } else if (const auto *W = dyn_cast<WhileStmt>(S)) {
+    D = std::max(H(W->getCond()), astDepth(W->getBody()));
+  } else if (const auto *F = dyn_cast<ForStmt>(S)) {
+    D = std::max({astDepth(F->getInit()), H(F->getCond()), H(F->getStep()),
+                  astDepth(F->getBody())});
+  } else if (const auto *R = dyn_cast<ReturnStmt>(S)) {
+    D = H(R->getValue());
+  } else if (const auto *E = dyn_cast<ExprStmt>(S)) {
+    D = H(E->getExpr());
+  } else if (const auto *V = dyn_cast<DeclStmt>(S)) {
+    D = H(V->getVar()->getInit());
+  }
+  return D + 1;
+}
+
+TEST(ParserNesting, SuiteStaysFarBelowBudget) {
+  for (const BenchmarkSpec &Spec : getBenchmarkSuite()) {
+    auto TU = parseOk(Spec.Source);
+    unsigned Deepest = 0;
+    for (const DeclPtr &D : TU->Decls)
+      if (const auto *F = dyn_cast<FunctionDecl>(D.get()))
+        Deepest = std::max(Deepest, astDepth(F->getBody()));
+    EXPECT_GT(Deepest, 0u) << Spec.Name;
+    EXPECT_LE(Deepest, kMaxNestingDepth / 8) << Spec.Name;
+  }
 }
 
 } // namespace

@@ -163,7 +163,6 @@ TEST(Pipeline, CacheKeyCoversEveryOptOption) {
       &OptOptions::CopyPropagation,
       &OptOptions::DeadCodeElimination,
       &OptOptions::TailRecursionElimination,
-      &OptOptions::Sccp,
       &OptOptions::Peephole,
       &OptOptions::LoopInvariantCodeMotion,
       &OptOptions::Ranges,

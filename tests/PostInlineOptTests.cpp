@@ -1,24 +1,21 @@
-//===- tests/PostInlineOptTests.cpp - peephole / SCCP / LICM tests ------------===//
+//===- tests/PostInlineOptTests.cpp - peephole / LICM tests -------------------===//
 //
 // Part of the impact-inline project, distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The post-inline cleanup trio (opt/Peephole.h, opt/Sccp.h,
-/// opt/LoopInvariantCodeMotion.h) and the shared loop analysis they ride
-/// on (analysis/LoopInfo.h). Positive transforms, the negative fixtures
-/// each pass must refuse (trap-capable hoists, reachable branches,
-/// operand arity), and the PassManager plumbing (parseOptPasses,
-/// MaxIterations=0).
+/// The post-inline cleanup pair (opt/Peephole.h,
+/// opt/LoopInvariantCodeMotion.h) and the loop analysis LICM rides on
+/// (analysis/LoopInfo.h). Positive transforms, the negative fixtures
+/// each pass must refuse (trap-capable hoists, operand arity), and the
+/// PassManager plumbing (parseOptPasses, MaxIterations=0).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "opt/JumpOptimization.h"
 #include "opt/LoopInvariantCodeMotion.h"
 #include "opt/PassManager.h"
 #include "opt/Peephole.h"
-#include "opt/Sccp.h"
 
 #include "analysis/LoopInfo.h"
 #include "ir/IrPrinter.h"
@@ -169,69 +166,6 @@ TEST(Peephole, KeepsOperandArityIntact) {
 TEST(Peephole, PreservesBehaviour) {
   expectPreserves([](Module &M) { runPeephole(M); },
                   test::kCallHeavyProgram, "hello world");
-}
-
-//===----------------------------------------------------------------------===//
-// Sparse conditional constant propagation
-//===----------------------------------------------------------------------===//
-
-TEST(Sccp, PropagatesConstantsThroughJoins) {
-  // y is 1 on both arms; only a propagation that merges flow-in states at
-  // the join can prove it (block-local constant folding cannot).
-  Module M = compileOk("extern int getchar();"
-                       "int main() { int c; int y; c = getchar();"
-                       "if (c) y = 1; else y = 1;"
-                       "if (y) return 3; return 4; }");
-  const Function &Main = M.getFunction(M.MainId);
-  ASSERT_EQ(countOps(Main, Opcode::CondBr), 2u);
-  EXPECT_TRUE(runSccp(M));
-  EXPECT_EQ(countOps(Main, Opcode::CondBr), 1u)
-      << "the branch on y must fold; the branch on c must stay";
-  ASSERT_EQ(verifyModuleText(M), "");
-  for (const char *In : {"", "x"}) {
-    RunOptions Opts;
-    Opts.Input = In;
-    EXPECT_EQ(runProgram(M, Opts).ExitCode, 3);
-  }
-}
-
-TEST(Sccp, DoesNotFoldReachableNonConstantBranch) {
-  Module M = compileOk("extern int getchar();"
-                       "int main() { int c; c = getchar();"
-                       "if (c == 'x') return 1; return 2; }");
-  runSccp(M);
-  EXPECT_EQ(countOps(M.getFunction(M.MainId), Opcode::CondBr), 1u);
-  RunOptions Yes, No;
-  Yes.Input = "x";
-  No.Input = "y";
-  EXPECT_EQ(runProgram(M, Yes).ExitCode, 1);
-  EXPECT_EQ(runProgram(M, No).ExitCode, 2);
-}
-
-TEST(Sccp, PreservesDivisionByZeroTrap) {
-  Module M = compileOk("int main() { return 1 / 0; }");
-  runSccp(M);
-  EXPECT_EQ(runProgram(M).St, ExecResult::Status::Trapped)
-      << "SCCP must not evaluate a trapping divide at compile time";
-}
-
-TEST(Sccp, DeadArmBecomesRemovableByJumpOptimization) {
-  Module M = compileOk("extern int getchar();"
-                       "int main() { int c; int y; c = getchar();"
-                       "if (c) y = 1; else y = 1;"
-                       "if (y) return 3; return 4; }");
-  size_t BlocksBefore = M.getFunction(M.MainId).Blocks.size();
-  runSccp(M);
-  runJumpOptimization(M);
-  EXPECT_LT(M.getFunction(M.MainId).Blocks.size(), BlocksBefore)
-      << "the arm SCCP proved dead must be unlinked and removed";
-  ASSERT_EQ(verifyModuleText(M), "");
-  EXPECT_EQ(runProgram(M).ExitCode, 3);
-}
-
-TEST(Sccp, PreservesBehaviour) {
-  expectPreserves([](Module &M) { runSccp(M); }, test::kCallHeavyProgram,
-                  "hello world");
 }
 
 //===----------------------------------------------------------------------===//
@@ -411,26 +345,26 @@ TEST(PassManager, ParseOptPassesGrammar) {
   std::string Error;
 
   ASSERT_TRUE(parseOptPasses("all", O, &Error));
-  EXPECT_TRUE(O.Sccp);
+  EXPECT_TRUE(O.Ranges);
   EXPECT_TRUE(O.Peephole);
   EXPECT_TRUE(O.LoopInvariantCodeMotion);
   EXPECT_TRUE(O.TailRecursionElimination);
 
-  ASSERT_TRUE(parseOptPasses("sccp,licm", O, &Error));
-  EXPECT_TRUE(O.Sccp);
+  ASSERT_TRUE(parseOptPasses("tre,licm", O, &Error));
+  EXPECT_TRUE(O.TailRecursionElimination);
   EXPECT_TRUE(O.LoopInvariantCodeMotion);
   EXPECT_FALSE(O.Peephole);
   EXPECT_FALSE(O.ConstantFolding) << "positive specs start from nothing";
 
   ASSERT_TRUE(parseOptPasses("all,-licm", O, &Error));
   EXPECT_FALSE(O.LoopInvariantCodeMotion);
-  EXPECT_TRUE(O.Sccp);
+  EXPECT_TRUE(O.TailRecursionElimination);
 
   ASSERT_TRUE(parseOptPasses("-peephole", O, &Error));
   EXPECT_FALSE(O.Peephole);
   EXPECT_TRUE(O.ConstantFolding) << "negative-only specs start from all";
 
-  EXPECT_FALSE(parseOptPasses("sccp,bogus", O, &Error));
+  EXPECT_FALSE(parseOptPasses("tre,bogus", O, &Error));
   EXPECT_NE(Error.find("bogus"), std::string::npos);
   EXPECT_NE(Error.find("licm"), std::string::npos)
       << "the error lists the valid names";
@@ -444,11 +378,10 @@ TEST(PassManager, ParseOptPassesGrammar) {
 TEST(PassManager, RenderOptPassesInvertsParse) {
   OptOptions O;
   std::string Error;
-  ASSERT_TRUE(parseOptPasses("fold,sccp,licm", O, &Error));
-  EXPECT_EQ(renderOptPasses(O), "fold,sccp,licm");
+  ASSERT_TRUE(parseOptPasses("fold,tre,licm", O, &Error));
+  EXPECT_EQ(renderOptPasses(O), "fold,tre,licm");
   ASSERT_TRUE(parseOptPasses(
-      "-fold,-jump,-copy,-dce,-tre,-sccp,-peephole,-licm,-ranges", O,
-      &Error));
+      "-fold,-jump,-copy,-dce,-tre,-peephole,-licm,-ranges", O, &Error));
   EXPECT_EQ(renderOptPasses(O), "none");
 }
 

@@ -7,9 +7,9 @@
 /// \file
 /// The `ranges` tier: every fact the interprocedural range/purity analysis
 /// emits is asserted against real executions. The 12-benchmark suite and a
-/// randomized MiniC corpus run through BOTH engines (walker, VM with both
-/// dispatch strategies) with a RangeFactChecker installed; any dynamic
-/// violation of a statically-proven fact is a hard failure. The same
+/// randomized MiniC corpus run through BOTH engines (walker and VM) with
+/// a RangeFactChecker installed; any dynamic violation of a
+/// statically-proven fact is a hard failure. The same
 /// programs re-run after inline expansion plus the ranges-powered
 /// optimizer, so the facts must stay true across every transform they
 /// license. The analyzer's range-backed rules must be engine- and
@@ -57,7 +57,6 @@ unsigned corpusSeedCount() {
 /// All pipeline passes, driven by range facts.
 OptOptions rangedPasses() {
   OptOptions Opts;
-  Opts.Sccp = true;
   Opts.Peephole = true;
   Opts.LoopInvariantCodeMotion = true;
   Opts.Ranges = true;
@@ -65,9 +64,9 @@ OptOptions rangedPasses() {
 }
 
 /// Computes \p M's facts, installs a checker, and runs every input
-/// through the walker and both VM dispatch strategies. Zero violations
-/// required; at least one check must actually fire (the tier must never
-/// silently degrade into checking nothing).
+/// through the walker and the VM. Zero violations required; at least one
+/// check must actually fire (the tier must never silently degrade into
+/// checking nothing).
 void expectFactsHold(const Module &M, const std::vector<RunInput> &Inputs,
                      const std::string &Tag) {
   ModuleRangeFacts Facts = computeModuleRangeFacts(M);
@@ -79,8 +78,7 @@ void expectFactsHold(const Module &M, const std::vector<RunInput> &Inputs,
     Opts.Input2 = In.Input2;
     Opts.FactCheck = &Check;
     (void)runProgram(M, Opts);
-    (void)runProgramVm(P, Opts, nullptr, VmDispatch::ComputedGoto);
-    (void)runProgramVm(P, Opts, nullptr, VmDispatch::Switch);
+    (void)runProgramVm(P, Opts);
   }
   EXPECT_GT(Check.getChecksPerformed(), 0u) << Tag;
   if (!Check.ok())
@@ -117,7 +115,7 @@ TEST(RangeSuite, FactsHoldDynamically) {
 TEST(RangeSuite, FactsHoldAfterRangedInlineAndOptimize) {
   // The facts are recomputed on the transformed module, so this checks
   // both that recomputation stays sound and that no ranges-licensed
-  // rewrite (SCCP fold, peephole strength reduction, LICM hoist) changed
+  // rewrite (peephole identity or strength reduction, LICM hoist) changed
   // observable behavior enough to falsify a fact.
   for (const BenchmarkSpec &Spec : getBenchmarkSuite()) {
     SCOPED_TRACE(Spec.Name);
@@ -310,7 +308,8 @@ TEST(Interval, ArithmeticOverflowGoesToTop) {
 
 TEST(Interval, DivRemTrapHazardsGoToTop) {
   // A singleton div/rem result implies the operation provably cannot
-  // trap — SCCP's fold-to-LdImm leans on exactly this property.
+  // trap — any fold of a singleton result to a constant leans on
+  // exactly this property.
   EXPECT_EQ(rangeDiv(Interval::constant(42), Interval::constant(7)),
             Interval::constant(6));
   EXPECT_TRUE(rangeDiv(Interval::constant(42), Interval::make(0, 7))

@@ -11,8 +11,8 @@
 /// "the VM's ExecResult is bit-identical to the walker's", via
 /// describeResultDifference. The whole-suite and randomized equivalence
 /// runs live in tests/DifferentialTests.cpp; this file covers the parsing
-/// surface, compile-time fusion, dispatch-strategy equality, and the trap /
-/// step-limit edges one at a time.
+/// surface, compile-time fusion, and the trap / step-limit edges one at a
+/// time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,18 +29,16 @@ using namespace impact;
 
 namespace {
 
-/// Runs \p M through the walker and through the VM under *both* dispatch
-/// strategies, asserting all three results are bit-identical; returns the
-/// walker's result for further assertions.
+/// Runs \p M through the walker and through the VM, asserting the two
+/// results are bit-identical; returns the walker's result for further
+/// assertions.
 ExecResult expectEnginesAgree(const Module &M, const RunOptions &Opts,
                               const std::string &Tag,
                               VmRunStats *Stats = nullptr) {
   ExecResult W = runProgram(M, Opts);
   VmProgram P = compileToBytecode(M);
-  ExecResult Goto = runProgramVm(P, Opts, Stats, VmDispatch::ComputedGoto);
-  ExecResult Switch = runProgramVm(P, Opts, nullptr, VmDispatch::Switch);
-  EXPECT_EQ(describeResultDifference(W, Goto), "") << Tag << " (goto)";
-  EXPECT_EQ(describeResultDifference(W, Switch), "") << Tag << " (switch)";
+  EXPECT_EQ(describeResultDifference(W, runProgramVm(P, Opts, Stats)), "")
+      << Tag;
   return W;
 }
 
@@ -255,18 +253,10 @@ int main() {
 }
 
 //===----------------------------------------------------------------------===//
-// Dispatch strategies
+// Whole programs
 //===----------------------------------------------------------------------===//
 
-TEST(Dispatch, ComputedGotoIsCompiledInOnGccAndClang) {
-#if defined(__GNUC__) || defined(__clang__)
-  EXPECT_TRUE(hasComputedGotoDispatch());
-#else
-  EXPECT_FALSE(hasComputedGotoDispatch());
-#endif
-}
-
-TEST(Dispatch, GotoAndSwitchAgreeOnRealPrograms) {
+TEST(VmParity, AgreesWithWalkerOnRealPrograms) {
   const struct {
     const char *Name;
     const char *Source;
