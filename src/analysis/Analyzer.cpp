@@ -256,28 +256,6 @@ void addFinding(AnalysisReport &Report, std::string Function, BlockId Block,
   Report.Findings.push_back(std::move(F));
 }
 
-/// True for instructions whose only effect is the register they write;
-/// a dead destination makes the whole instruction dead. Calls are
-/// excluded (the call happens regardless of whether its result is read),
-/// as is Load, whose address check is an observable trap.
-bool isPureValueProducer(Opcode Op) {
-  switch (Op) {
-  case Opcode::Load:
-  case Opcode::Call:
-  case Opcode::CallPtr:
-  case Opcode::Store:
-  case Opcode::Jump:
-  case Opcode::CondBr:
-  case Opcode::Ret:
-    return false;
-  case Opcode::Div:
-  case Opcode::Rem:
-    return false; // may trap on zero divisor
-  default:
-    return true;
-  }
-}
-
 void checkUninitReads(const Function &F, const Cfg &G,
                       const ReachingDefsAnalysis &Reach,
                       AnalysisReport &Report) {
@@ -334,8 +312,9 @@ void checkDeadStores(const Function &F, const Cfg &G,
       const Instr &I = Block.Instrs[Idx];
       Reg D = instrDef(I);
       if (D != kNoReg && static_cast<uint32_t>(D) < F.NumRegs) {
-        if (!LiveNow.test(static_cast<size_t>(D)) &&
-            isPureValueProducer(I.Op))
+        // Only a pure instruction is wholly dead with its destination: a
+        // call still happens, and a load or div/rem can still trap.
+        if (!LiveNow.test(static_cast<size_t>(D)) && isPure(I.Op))
           addFinding(Report, F.Name, static_cast<BlockId>(B),
                      static_cast<int>(Idx), Severity::Warn, kRuleDeadStore,
                      "value written to " + describeReg(F, D) +
@@ -370,23 +349,25 @@ void checkGuaranteedTraps(const Function &F, const RangeAnalysis &RA,
       switch (I.Op) {
       case Opcode::Div:
       case Opcode::Rem: {
-        const char *What = I.Op == Opcode::Div ? "division" : "remainder";
+        // Against one divisor the trapping dividends form an interval
+        // (all of them, or none, or exactly INT64_MIN), so the operation
+        // traps on every execution iff it traps at both dividend ends.
         Interval Dividend = RangeAnalysis::get(E, I.Src1);
         Interval Divisor = RangeAnalysis::get(E, I.Src2);
-        if (Divisor == Interval::constant(0))
-          addFinding(Report, F.Name, Id, static_cast<int>(Idx),
-                     Severity::Error, kRuleGuaranteedTrap,
-                     std::string(What) + " by " + describeReg(F, I.Src2) +
-                         " which is provably zero; this instruction traps "
-                         "on every execution");
-        else if (Dividend ==
-                     Interval::constant(std::numeric_limits<int64_t>::min()) &&
-                 Divisor == Interval::constant(-1))
-          addFinding(Report, F.Name, Id, static_cast<int>(Idx),
-                     Severity::Error, kRuleGuaranteedTrap,
-                     std::string(What) +
-                         " provably overflows (INT64_MIN / -1); this "
-                         "instruction traps on every execution");
+        if (!Divisor.isConstant() ||
+            evalBinary(I.Op, Dividend.Lo, Divisor.Lo) ||
+            evalBinary(I.Op, Dividend.Hi, Divisor.Lo))
+          break;
+        const char *What = I.Op == Opcode::Div ? "division" : "remainder";
+        addFinding(Report, F.Name, Id, static_cast<int>(Idx), Severity::Error,
+                   kRuleGuaranteedTrap,
+                   Divisor.Lo == 0
+                       ? std::string(What) + " by " + describeReg(F, I.Src2) +
+                             " which is provably zero; this instruction "
+                             "traps on every execution"
+                       : std::string(What) +
+                             " provably overflows (INT64_MIN / -1); this "
+                             "instruction traps on every execution");
         break;
       }
       case Opcode::Load:

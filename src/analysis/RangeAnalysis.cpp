@@ -333,10 +333,6 @@ static Opcode negateCmp(Opcode Pred) {
   }
 }
 
-static bool isCmp(Opcode Op) {
-  return Op >= Opcode::CmpEq && Op <= Opcode::CmpGe;
-}
-
 //===----------------------------------------------------------------------===//
 // RangeAnalysis
 //===----------------------------------------------------------------------===//
@@ -581,7 +577,7 @@ bool RangeAnalysis::refineEdge(BlockId From, BlockId To, Env &E) const {
   if (DefIdx < 0)
     return true;
   const Instr &D = B.Instrs[static_cast<size_t>(DefIdx)];
-  if (!isCmp(D.Op))
+  if (!isCompareOp(D.Op))
     return true;
   Reg RA = D.Src1, RB = D.Src2;
   if (RA == C || RB == C || RA == kNoReg || RB == kNoReg)

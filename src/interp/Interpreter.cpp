@@ -13,12 +13,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace impact;
 
 namespace {
-
-constexpr size_t kNumOpcodes = static_cast<size_t>(Opcode::Ret) + 1;
 
 /// One pending activation on the control stack.
 struct Frame {
@@ -295,112 +294,34 @@ private:
         Opts.ICache->access(Layout.getAddress(CurFunc, CurBlock, CurIndex));
 
       switch (I.Op) {
-      case Opcode::Mov:
-        reg(I.Dst) = reg(I.Src1);
-        ++CurIndex;
-        break;
+        // The unary, binary and compare operators: one case per opcode,
+        // each evaluating through ir/Opcode.h with its literal opcode.
+#define IMPACT_WALK_Unary(Name)                                                \
+  case Opcode::Name:                                                           \
+    reg(I.Dst) = evalUnary(Opcode::Name, reg(I.Src1));                         \
+    ++CurIndex;                                                                \
+    break;
+#define IMPACT_WALK_Binary(Name)                                               \
+  case Opcode::Name:                                                           \
+    if (std::optional<int64_t> V =                                             \
+            evalBinary(Opcode::Name, reg(I.Src1), reg(I.Src2))) {              \
+      reg(I.Dst) = *V;                                                         \
+      ++CurIndex;                                                              \
+    } else {                                                                   \
+      trap(getBinaryTrapMessage(Opcode::Name, reg(I.Src2)));                   \
+    }                                                                          \
+    break;
+#define IMPACT_WALK_Compare(Name) IMPACT_WALK_Binary(Name)
+#define IMPACT_WALK_Other(Name)
+#define IMPACT_WALK(Name, Mnemonic, Kind, Flags) IMPACT_WALK_##Kind(Name)
+        IMPACT_DATA_OPCODES(IMPACT_WALK)
+#undef IMPACT_WALK
+#undef IMPACT_WALK_Other
+#undef IMPACT_WALK_Compare
+#undef IMPACT_WALK_Binary
+#undef IMPACT_WALK_Unary
       case Opcode::LdImm:
         reg(I.Dst) = I.Imm;
-        ++CurIndex;
-        break;
-      case Opcode::Add:
-        reg(I.Dst) = static_cast<int64_t>(
-            static_cast<uint64_t>(reg(I.Src1)) +
-            static_cast<uint64_t>(reg(I.Src2)));
-        ++CurIndex;
-        break;
-      case Opcode::Sub:
-        reg(I.Dst) = static_cast<int64_t>(
-            static_cast<uint64_t>(reg(I.Src1)) -
-            static_cast<uint64_t>(reg(I.Src2)));
-        ++CurIndex;
-        break;
-      case Opcode::Mul:
-        reg(I.Dst) = static_cast<int64_t>(
-            static_cast<uint64_t>(reg(I.Src1)) *
-            static_cast<uint64_t>(reg(I.Src2)));
-        ++CurIndex;
-        break;
-      case Opcode::Div: {
-        int64_t Divisor = reg(I.Src2);
-        if (Divisor == 0) {
-          trap("division by zero");
-          break;
-        }
-        if (reg(I.Src1) == INT64_MIN && Divisor == -1) {
-          trap("division overflow");
-          break;
-        }
-        reg(I.Dst) = reg(I.Src1) / Divisor;
-        ++CurIndex;
-        break;
-      }
-      case Opcode::Rem: {
-        int64_t Divisor = reg(I.Src2);
-        if (Divisor == 0) {
-          trap("remainder by zero");
-          break;
-        }
-        if (reg(I.Src1) == INT64_MIN && Divisor == -1) {
-          trap("remainder overflow");
-          break;
-        }
-        reg(I.Dst) = reg(I.Src1) % Divisor;
-        ++CurIndex;
-        break;
-      }
-      case Opcode::Shl:
-        reg(I.Dst) = static_cast<int64_t>(static_cast<uint64_t>(reg(I.Src1))
-                                          << (reg(I.Src2) & 63));
-        ++CurIndex;
-        break;
-      case Opcode::Shr:
-        reg(I.Dst) = reg(I.Src1) >> (reg(I.Src2) & 63);
-        ++CurIndex;
-        break;
-      case Opcode::And:
-        reg(I.Dst) = reg(I.Src1) & reg(I.Src2);
-        ++CurIndex;
-        break;
-      case Opcode::Or:
-        reg(I.Dst) = reg(I.Src1) | reg(I.Src2);
-        ++CurIndex;
-        break;
-      case Opcode::Xor:
-        reg(I.Dst) = reg(I.Src1) ^ reg(I.Src2);
-        ++CurIndex;
-        break;
-      case Opcode::Neg:
-        reg(I.Dst) =
-            static_cast<int64_t>(0ull - static_cast<uint64_t>(reg(I.Src1)));
-        ++CurIndex;
-        break;
-      case Opcode::Not:
-        reg(I.Dst) = ~reg(I.Src1);
-        ++CurIndex;
-        break;
-      case Opcode::CmpEq:
-        reg(I.Dst) = reg(I.Src1) == reg(I.Src2);
-        ++CurIndex;
-        break;
-      case Opcode::CmpNe:
-        reg(I.Dst) = reg(I.Src1) != reg(I.Src2);
-        ++CurIndex;
-        break;
-      case Opcode::CmpLt:
-        reg(I.Dst) = reg(I.Src1) < reg(I.Src2);
-        ++CurIndex;
-        break;
-      case Opcode::CmpLe:
-        reg(I.Dst) = reg(I.Src1) <= reg(I.Src2);
-        ++CurIndex;
-        break;
-      case Opcode::CmpGt:
-        reg(I.Dst) = reg(I.Src1) > reg(I.Src2);
-        ++CurIndex;
-        break;
-      case Opcode::CmpGe:
-        reg(I.Dst) = reg(I.Src1) >= reg(I.Src2);
         ++CurIndex;
         break;
       case Opcode::Load: {

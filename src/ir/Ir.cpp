@@ -8,84 +8,6 @@
 
 using namespace impact;
 
-const char *impact::getOpcodeName(Opcode Op) {
-  switch (Op) {
-  case Opcode::Mov:
-    return "mov";
-  case Opcode::LdImm:
-    return "ld_imm";
-  case Opcode::Add:
-    return "add";
-  case Opcode::Sub:
-    return "sub";
-  case Opcode::Mul:
-    return "mul";
-  case Opcode::Div:
-    return "div";
-  case Opcode::Rem:
-    return "rem";
-  case Opcode::Shl:
-    return "shl";
-  case Opcode::Shr:
-    return "shr";
-  case Opcode::And:
-    return "and";
-  case Opcode::Or:
-    return "or";
-  case Opcode::Xor:
-    return "xor";
-  case Opcode::Neg:
-    return "neg";
-  case Opcode::Not:
-    return "not";
-  case Opcode::CmpEq:
-    return "cmp_eq";
-  case Opcode::CmpNe:
-    return "cmp_ne";
-  case Opcode::CmpLt:
-    return "cmp_lt";
-  case Opcode::CmpLe:
-    return "cmp_le";
-  case Opcode::CmpGt:
-    return "cmp_gt";
-  case Opcode::CmpGe:
-    return "cmp_ge";
-  case Opcode::Load:
-    return "load";
-  case Opcode::Store:
-    return "store";
-  case Opcode::FrameAddr:
-    return "frame_addr";
-  case Opcode::GlobalAddr:
-    return "global_addr";
-  case Opcode::FuncAddr:
-    return "func_addr";
-  case Opcode::Call:
-    return "call";
-  case Opcode::CallPtr:
-    return "call_ptr";
-  case Opcode::Jump:
-    return "jump";
-  case Opcode::CondBr:
-    return "cond_br";
-  case Opcode::Ret:
-    return "ret";
-  }
-  return "?";
-}
-
-bool impact::isTerminator(Opcode Op) {
-  return Op == Opcode::Jump || Op == Opcode::CondBr || Op == Opcode::Ret;
-}
-
-bool impact::isCall(Opcode Op) {
-  return Op == Opcode::Call || Op == Opcode::CallPtr;
-}
-
-bool impact::isControlTransfer(Opcode Op) {
-  return Op == Opcode::Jump || Op == Opcode::CondBr;
-}
-
 //===----------------------------------------------------------------------===//
 // Instr factories
 //===----------------------------------------------------------------------===//

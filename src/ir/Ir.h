@@ -23,6 +23,8 @@
 #ifndef IMPACT_IR_IR_H
 #define IMPACT_IR_IR_H
 
+#include "ir/Opcode.h"
+
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -57,63 +59,6 @@ inline FuncId decodeFuncAddr(int64_t Addr) {
   return Addr >= kFuncAddrBase ? static_cast<FuncId>(Addr - kFuncAddrBase)
                                : kNoFunc;
 }
-
-enum class Opcode {
-  // Data movement.
-  Mov,   // Dst = Src1
-  LdImm, // Dst = Imm
-
-  // Binary arithmetic: Dst = Src1 op Src2. Div/Rem by zero traps.
-  Add,
-  Sub,
-  Mul,
-  Div,
-  Rem,
-  Shl,
-  Shr,
-  And,
-  Or,
-  Xor,
-
-  // Unary: Dst = op Src1.
-  Neg,
-  Not,
-
-  // Comparisons: Dst = (Src1 op Src2) ? 1 : 0.
-  CmpEq,
-  CmpNe,
-  CmpLt,
-  CmpLe,
-  CmpGt,
-  CmpGe,
-
-  // Memory.
-  Load,       // Dst = Mem[Src1]
-  Store,      // Mem[Src1] = Src2
-  FrameAddr,  // Dst = FP + Imm
-  GlobalAddr, // Dst = address of global #Imm
-  FuncAddr,   // Dst = encodeFuncAddr(Callee)
-
-  // Calls (not terminators; execution continues in the same block).
-  Call,    // Dst? = Callee(Args...), unique SiteId
-  CallPtr, // Dst? = (*Src1)(Args...), unique SiteId
-
-  // Terminators.
-  Jump,   // goto Target
-  CondBr, // if Src1 != 0 goto Target else goto Target2
-  Ret,    // return Src1 (kNoReg for void)
-};
-
-/// Returns the IL mnemonic ("add", "cond_br", ...).
-const char *getOpcodeName(Opcode Op);
-
-/// Returns true for Jump/CondBr/Ret.
-bool isTerminator(Opcode Op);
-/// Returns true for Call/CallPtr.
-bool isCall(Opcode Op);
-/// Returns true for Jump/CondBr — the paper's "control transfers other than
-/// function call/return" (Table 1's control column).
-bool isControlTransfer(Opcode Op);
 
 /// One IL instruction. A flat POD-ish struct: cheap to clone, which the
 /// inline expander relies on.

@@ -27,36 +27,16 @@ std::string regName(Reg R, const Function *F) {
 
 std::string impact::printInstr(const Instr &I, const Function *F) {
   std::ostringstream OS;
-  switch (I.Op) {
-  case Opcode::Mov:
-    OS << regName(I.Dst, F) << " = mov " << regName(I.Src1, F);
-    break;
-  case Opcode::LdImm:
-    OS << regName(I.Dst, F) << " = ld_imm " << I.Imm;
-    break;
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::CmpEq:
-  case Opcode::CmpNe:
-  case Opcode::CmpLt:
-  case Opcode::CmpLe:
-  case Opcode::CmpGt:
-  case Opcode::CmpGe:
-    OS << regName(I.Dst, F) << " = " << getOpcodeName(I.Op) << ' '
-       << regName(I.Src1, F) << ", " << regName(I.Src2, F);
-    break;
-  case Opcode::Neg:
-  case Opcode::Not:
+  if (isUnaryOp(I.Op) || isBinaryOp(I.Op)) {
     OS << regName(I.Dst, F) << " = " << getOpcodeName(I.Op) << ' '
        << regName(I.Src1, F);
+    if (isBinaryOp(I.Op))
+      OS << ", " << regName(I.Src2, F);
+    return OS.str();
+  }
+  switch (I.Op) {
+  case Opcode::LdImm:
+    OS << regName(I.Dst, F) << " = ld_imm " << I.Imm;
     break;
   case Opcode::Load:
     OS << regName(I.Dst, F) << " = load [" << regName(I.Src1, F) << ']';
@@ -100,6 +80,8 @@ std::string impact::printInstr(const Instr &I, const Function *F) {
     OS << "ret";
     if (I.Src1 != kNoReg)
       OS << ' ' << regName(I.Src1, F);
+    break;
+  default: // unary and binary operators, printed above
     break;
   }
   return OS.str();

@@ -9,7 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
-#include <unordered_map>
+#include <optional>
 
 using namespace impact;
 
@@ -109,23 +109,15 @@ private:
   size_t Pos = 0;
 };
 
-/// Maps the binary/unary mnemonics the printer emits.
-const std::unordered_map<std::string, Opcode> &getMnemonics() {
-  static const std::unordered_map<std::string, Opcode> Map = {
-      {"add", Opcode::Add},       {"sub", Opcode::Sub},
-      {"mul", Opcode::Mul},       {"div", Opcode::Div},
-      {"rem", Opcode::Rem},       {"shl", Opcode::Shl},
-      {"shr", Opcode::Shr},       {"and", Opcode::And},
-      {"or", Opcode::Or},         {"xor", Opcode::Xor},
-      {"cmp_eq", Opcode::CmpEq},  {"cmp_ne", Opcode::CmpNe},
-      {"cmp_lt", Opcode::CmpLt},  {"cmp_le", Opcode::CmpLe},
-      {"cmp_gt", Opcode::CmpGt},  {"cmp_ge", Opcode::CmpGe},
-      {"neg", Opcode::Neg},       {"not", Opcode::Not},
-  };
-  return Map;
+/// The unary or binary operator spelled \p Mnemonic, if any.
+std::optional<Opcode> findOperator(std::string_view Mnemonic) {
+  for (size_t Idx = 0; Idx != kNumOpcodes; ++Idx) {
+    Opcode Op = static_cast<Opcode>(Idx);
+    if ((isUnaryOp(Op) || isBinaryOp(Op)) && Mnemonic == getOpcodeName(Op))
+      return Op;
+  }
+  return std::nullopt;
 }
-
-bool isBinary(Opcode Op) { return Op != Opcode::Neg && Op != Opcode::Not; }
 
 class ModuleParser {
 public:
@@ -375,15 +367,6 @@ private:
     if (!C.consumeWord(Op))
       return fail(C.Error);
 
-    if (Op == "mov") {
-      Reg Src;
-      std::string Name;
-      if (!C.consumeReg(Src, &Name))
-        return fail(C.Error);
-      noteRegName(F, Src, Name);
-      I = Instr::makeMov(Dst, Src);
-      return true;
-    }
     if (Op == "ld_imm") {
       int64_t V;
       if (!C.consumeInt(V))
@@ -423,23 +406,23 @@ private:
       return true;
     }
 
-    auto It = getMnemonics().find(Op);
-    if (It == getMnemonics().end())
+    std::optional<Opcode> Operator = findOperator(Op);
+    if (!Operator)
       return fail("unknown mnemonic '" + Op + "'");
     Reg Lhs;
     std::string LName;
     if (!C.consumeReg(Lhs, &LName))
       return fail(C.Error);
     noteRegName(F, Lhs, LName);
-    if (isBinary(It->second)) {
+    if (isBinaryOp(*Operator)) {
       Reg Rhs;
       std::string RName;
       if (!C.consumeLiteral(",") || !C.consumeReg(Rhs, &RName))
         return fail(C.Error);
       noteRegName(F, Rhs, RName);
-      I = Instr::makeBinary(It->second, Dst, Lhs, Rhs);
+      I = Instr::makeBinary(*Operator, Dst, Lhs, Rhs);
     } else {
-      I = Instr::makeUnary(It->second, Dst, Lhs);
+      I = Instr::makeUnary(*Operator, Dst, Lhs);
     }
     return true;
   }

@@ -113,35 +113,20 @@ private:
                            : "terminator in the middle of a block");
       return;
     }
-    switch (I.Op) {
-    case Opcode::Mov:
-    case Opcode::Neg:
-    case Opcode::Not:
+    if (isUnaryOp(I.Op)) {
       checkReg(F, I, I.Dst, "destination", true);
       checkReg(F, I, I.Src1, "source", true);
-      break;
-    case Opcode::LdImm:
-      checkReg(F, I, I.Dst, "destination", true);
-      break;
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Rem:
-    case Opcode::Shl:
-    case Opcode::Shr:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::CmpEq:
-    case Opcode::CmpNe:
-    case Opcode::CmpLt:
-    case Opcode::CmpLe:
-    case Opcode::CmpGt:
-    case Opcode::CmpGe:
+      return;
+    }
+    if (isBinaryOp(I.Op)) {
       checkReg(F, I, I.Dst, "destination", true);
       checkReg(F, I, I.Src1, "lhs", true);
       checkReg(F, I, I.Src2, "rhs", true);
+      return;
+    }
+    switch (I.Op) {
+    case Opcode::LdImm:
+      checkReg(F, I, I.Dst, "destination", true);
       break;
     case Opcode::Load:
       checkReg(F, I, I.Dst, "destination", true);
@@ -191,6 +176,8 @@ private:
       if (!F.ReturnsVoid && I.Src1 == kNoReg)
         report(F, &I, "non-void function returns no value");
       checkReg(F, I, I.Src1, "return value", /*Required=*/false);
+      break;
+    default: // unary and binary operators, checked above
       break;
     }
   }

@@ -11,83 +11,6 @@
 
 using namespace impact;
 
-namespace {
-
-/// Folds Op over constant operands. Returns nullopt when the operation
-/// must be left to the runtime (division by zero traps).
-std::optional<int64_t> foldBinary(Opcode Op, int64_t L, int64_t R) {
-  switch (Op) {
-  case Opcode::Add:
-    return static_cast<int64_t>(static_cast<uint64_t>(L) +
-                                static_cast<uint64_t>(R));
-  case Opcode::Sub:
-    return static_cast<int64_t>(static_cast<uint64_t>(L) -
-                                static_cast<uint64_t>(R));
-  case Opcode::Mul:
-    return static_cast<int64_t>(static_cast<uint64_t>(L) *
-                                static_cast<uint64_t>(R));
-  case Opcode::Div:
-    // Division by zero and INT64_MIN / -1 trap at runtime; preserve them.
-    if (R == 0 || (L == INT64_MIN && R == -1))
-      return std::nullopt;
-    return L / R;
-  case Opcode::Rem:
-    if (R == 0 || (L == INT64_MIN && R == -1))
-      return std::nullopt;
-    return L % R;
-  case Opcode::Shl:
-    return static_cast<int64_t>(static_cast<uint64_t>(L) << (R & 63));
-  case Opcode::Shr:
-    return L >> (R & 63);
-  case Opcode::And:
-    return L & R;
-  case Opcode::Or:
-    return L | R;
-  case Opcode::Xor:
-    return L ^ R;
-  case Opcode::CmpEq:
-    return L == R;
-  case Opcode::CmpNe:
-    return L != R;
-  case Opcode::CmpLt:
-    return L < R;
-  case Opcode::CmpLe:
-    return L <= R;
-  case Opcode::CmpGt:
-    return L > R;
-  case Opcode::CmpGe:
-    return L >= R;
-  default:
-    return std::nullopt;
-  }
-}
-
-bool isFoldableBinary(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::CmpEq:
-  case Opcode::CmpNe:
-  case Opcode::CmpLt:
-  case Opcode::CmpLe:
-  case Opcode::CmpGt:
-  case Opcode::CmpGe:
-    return true;
-  default:
-    return false;
-  }
-}
-
-} // namespace
-
 bool impact::runConstantFolding(Function &F) {
   bool Changed = false;
   for (BasicBlock &B : F.Blocks) {
@@ -102,61 +25,34 @@ bool impact::runConstantFolding(Function &F) {
     };
 
     for (Instr &I : B.Instrs) {
-      switch (I.Op) {
-      case Opcode::LdImm:
+      if (I.Op == Opcode::LdImm) {
         Known[I.Dst] = I.Imm;
         continue;
-      case Opcode::Mov: {
-        auto V = Lookup(I.Src1);
-        if (V) {
-          I = Instr::makeLdImm(I.Dst, *V);
-          Known[I.Dst] = *V;
-          Changed = true;
-        } else {
-          Known.erase(I.Dst);
-        }
-        continue;
       }
-      case Opcode::Neg:
-      case Opcode::Not: {
-        auto V = Lookup(I.Src1);
-        if (V) {
-          int64_t Folded =
-              I.Op == Opcode::Neg
-                  ? static_cast<int64_t>(0ull - static_cast<uint64_t>(*V))
-                  : ~*V;
-          I = Instr::makeLdImm(I.Dst, Folded);
-          Known[I.Dst] = Folded;
-          Changed = true;
-        } else {
-          Known.erase(I.Dst);
-        }
-        continue;
-      }
-      case Opcode::CondBr: {
-        auto V = Lookup(I.Src1);
-        if (V) {
+      if (I.Op == Opcode::CondBr) {
+        if (auto V = Lookup(I.Src1)) {
           I = Instr::makeJump(*V != 0 ? I.Target : I.Target2);
           Changed = true;
         }
         continue;
       }
-      default:
-        break;
-      }
 
-      if (isFoldableBinary(I.Op)) {
+      // Operators over known operands become ld_imm; a binary operator
+      // that would trap stays, so the runtime still raises the trap.
+      std::optional<int64_t> Folded;
+      if (isUnaryOp(I.Op)) {
+        if (auto V = Lookup(I.Src1))
+          Folded = evalUnary(I.Op, *V);
+      } else if (isBinaryOp(I.Op)) {
         auto L = Lookup(I.Src1);
         auto R = Lookup(I.Src2);
-        if (L && R) {
-          if (auto Folded = foldBinary(I.Op, *L, *R)) {
-            I = Instr::makeLdImm(I.Dst, *Folded);
-            Known[I.Dst] = *Folded;
-            Changed = true;
-            continue;
-          }
-        }
-        Known.erase(I.Dst);
+        if (L && R)
+          Folded = evalBinary(I.Op, *L, *R);
+      }
+      if (Folded) {
+        I = Instr::makeLdImm(I.Dst, *Folded);
+        Known[I.Dst] = *Folded;
+        Changed = true;
         continue;
       }
 

@@ -13,19 +13,10 @@ using namespace impact;
 namespace {
 
 /// True when deleting the instruction cannot change observable behaviour
-/// (given its destination is dead).
+/// (given its destination is dead): pure operators, and loads (see the
+/// header). A dead div/rem stays, because its trap is observable.
 bool isRemovableWhenDead(const Instr &I) {
-  switch (I.Op) {
-  case Opcode::Call:
-  case Opcode::CallPtr:
-  case Opcode::Store:
-  case Opcode::Jump:
-  case Opcode::CondBr:
-  case Opcode::Ret:
-    return false;
-  default:
-    return I.Dst != kNoReg;
-  }
+  return I.Dst != kNoReg && (isPure(I.Op) || I.Op == Opcode::Load);
 }
 
 void countUses(const Function &F, std::vector<unsigned> &Uses) {

@@ -11,11 +11,13 @@
 
 namespace impact {
 
-/// Removes side-effect-free instructions whose destination register is
-/// never read anywhere in the function, iterating to a fixpoint. Calls,
-/// stores and terminators are always kept; loads are treated as pure
-/// (removing a dead load can only remove a trap on an already-broken
-/// program, the usual compiler stance). Returns true on change.
+/// Removes instructions whose destination register is never read anywhere
+/// in the function, iterating to a fixpoint. Only opcodes the opcode table
+/// (ir/Opcode.h) marks pure are removed, plus loads: removing a dead load
+/// can only remove a trap on an already-broken program, the usual compiler
+/// stance. Calls, stores, terminators and div/rem (whose zero-divisor and
+/// INT64_MIN / -1 traps are observable) are always kept. Returns true on
+/// change.
 bool runDeadCodeElimination(Function &F);
 
 /// Runs DCE over every non-external function.

@@ -18,38 +18,6 @@ using namespace impact;
 
 namespace {
 
-/// Pure and trap-free: safe to execute speculatively in a preheader even
-/// when the loop would run zero iterations. Div/Rem can trap, Load can
-/// observe memory the loop stores to, calls do anything.
-bool isHoistableOpcode(Opcode Op) {
-  switch (Op) {
-  case Opcode::Mov:
-  case Opcode::LdImm:
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Neg:
-  case Opcode::Not:
-  case Opcode::CmpEq:
-  case Opcode::CmpNe:
-  case Opcode::CmpLt:
-  case Opcode::CmpLe:
-  case Opcode::CmpGt:
-  case Opcode::CmpGe:
-  case Opcode::FrameAddr:
-  case Opcode::GlobalAddr:
-  case Opcode::FuncAddr:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Retargets every branch edge of \p Term equal to \p From onto \p To.
 void retargetTerminator(Instr &Term, BlockId From, BlockId To) {
   if (Term.Op == Opcode::Jump || Term.Op == Opcode::CondBr) {
@@ -133,7 +101,11 @@ bool hoistOneRound(Function &F, const RangeContext *Ranges) {
                       static_cast<uint32_t>(D) < F.NumRegs &&
                       DefCount[static_cast<size_t>(D)] == 1 &&
                       !HeaderLiveIn.test(static_cast<size_t>(D));
-        bool Hoist = BaseOk && isHoistableOpcode(I.Op) &&
+        // Pure opcodes are safe to execute speculatively in a preheader
+        // even when the loop would run zero iterations. Div/Rem can trap,
+        // Load can observe memory the loop stores to, calls do anything:
+        // those need the range-licensed rules below.
+        bool Hoist = BaseOk && isPure(I.Op) &&
                      IsInvariantOperand(I.Src1) &&
                      IsInvariantOperand(I.Src2);
         // Range-licensed classes: only from blocks range analysis itself
@@ -184,7 +156,7 @@ bool hoistOneRound(Function &F, const RangeContext *Ranges) {
             break;
           }
         }
-        HeaderPrefixPure &= isHoistableOpcode(I.Op);
+        HeaderPrefixPure &= isPure(I.Op);
         if (Hoist) {
           Hoisted.push_back(I);
           DefCount[static_cast<size_t>(D)] = 0;

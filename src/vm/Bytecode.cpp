@@ -23,48 +23,6 @@ enum class Fuse : uint8_t {
   Consumed,    // body of a superinstruction started earlier
 };
 
-bool isCompare(Opcode Op) {
-  return Op >= Opcode::CmpEq && Op <= Opcode::CmpGe;
-}
-
-VmOp binOpToken(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add: return VmOp::Add;
-  case Opcode::Sub: return VmOp::Sub;
-  case Opcode::Mul: return VmOp::Mul;
-  case Opcode::Div: return VmOp::Div;
-  case Opcode::Rem: return VmOp::Rem;
-  case Opcode::Shl: return VmOp::Shl;
-  case Opcode::Shr: return VmOp::Shr;
-  case Opcode::And: return VmOp::And;
-  case Opcode::Or: return VmOp::Or;
-  case Opcode::Xor: return VmOp::Xor;
-  case Opcode::CmpEq: return VmOp::CmpEq;
-  case Opcode::CmpNe: return VmOp::CmpNe;
-  case Opcode::CmpLt: return VmOp::CmpLt;
-  case Opcode::CmpLe: return VmOp::CmpLe;
-  case Opcode::CmpGt: return VmOp::CmpGt;
-  case Opcode::CmpGe: return VmOp::CmpGe;
-  default:
-    assert(false && "not a binary token");
-    return VmOp::Add;
-  }
-}
-
-VmOp cmpBrToken(Opcode Cmp) {
-  switch (Cmp) {
-  case Opcode::CmpEq: return VmOp::CmpEqBr;
-  case Opcode::CmpNe: return VmOp::CmpNeBr;
-  case Opcode::CmpLt: return VmOp::CmpLtBr;
-  case Opcode::CmpLe: return VmOp::CmpLeBr;
-  case Opcode::CmpGt: return VmOp::CmpGtBr;
-  case Opcode::CmpGe: return VmOp::CmpGeBr;
-  default:
-    assert(false && "not a compare");
-    return VmOp::CmpEqBr;
-  }
-}
-
 /// Encoded word count of \p I under fusion decision \p F (0 when consumed).
 size_t encodedWords(const Instr &I, Fuse F) {
   switch (F) {
@@ -75,34 +33,9 @@ size_t encodedWords(const Instr &I, Fuse F) {
   case Fuse::None:
     break;
   }
+  if (isBinaryOp(I.Op))
+    return 4; // op, dst, s1, s2
   switch (I.Op) {
-  case Opcode::Mov:
-  case Opcode::LdImm:
-  case Opcode::Neg:
-  case Opcode::Not:
-  case Opcode::Load:
-  case Opcode::Store:
-  case Opcode::FrameAddr:
-  case Opcode::GlobalAddr:
-  case Opcode::FuncAddr:
-    return 3;
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::CmpEq:
-  case Opcode::CmpNe:
-  case Opcode::CmpLt:
-  case Opcode::CmpLe:
-  case Opcode::CmpGt:
-  case Opcode::CmpGe:
-    return 4;
   case Opcode::Call:
     // Resolution-dependent; computed by the caller (see callWords).
     assert(false && "calls are sized by callWords");
@@ -110,13 +43,13 @@ size_t encodedWords(const Instr &I, Fuse F) {
   case Opcode::CallPtr:
     return 5 + I.Args.size();
   case Opcode::Jump:
+  case Opcode::Ret:
     return 2;
   case Opcode::CondBr:
     return 4;
-  case Opcode::Ret:
-    return 2;
+  default:
+    return 3; // unary ops, ld_imm, load, store, address forms
   }
-  return 0;
 }
 
 /// Compile-time resolution of a direct call.
@@ -175,7 +108,7 @@ private:
       Plan.assign(Is.size(), Fuse::None);
       // Cmp* feeding the block's CondBr directly.
       size_t N = Is.size();
-      if (N >= 2 && isCompare(Is[N - 2].Op) &&
+      if (N >= 2 && isCompareOp(Is[N - 2].Op) &&
           Is[N - 1].Op == Opcode::CondBr && Is[N - 1].Src1 == Is[N - 2].Dst) {
         Plan[N - 2] = Fuse::CmpBrHead;
         Plan[N - 1] = Fuse::Consumed;
@@ -326,7 +259,9 @@ private:
         continue;
       case Fuse::CmpBrHead: {
         const Instr &Br = Is[Idx + 1];
-        op(cmpBrToken(I.Op));
+        op(static_cast<VmOp>(static_cast<int32_t>(VmOp::CmpEqBr) +
+                             static_cast<int32_t>(I.Op) -
+                             static_cast<int32_t>(Opcode::CmpEq)));
         w(I.Dst);
         w(I.Src1);
         w(I.Src2);
@@ -336,47 +271,19 @@ private:
         break;
       }
       case Fuse::None:
-        switch (I.Op) {
-        case Opcode::Mov:
-          op(VmOp::Mov);
+        if (isUnaryOp(I.Op) || isBinaryOp(I.Op)) {
+          op(static_cast<VmOp>(I.Op)); // data tokens mirror the IL opcodes
           w(I.Dst);
           w(I.Src1);
+          if (isBinaryOp(I.Op))
+            w(I.Src2);
           break;
+        }
+        switch (I.Op) {
         case Opcode::LdImm:
           op(VmOp::LdImm);
           w(I.Dst);
           w(pool(I.Imm));
-          break;
-        case Opcode::Add:
-        case Opcode::Sub:
-        case Opcode::Mul:
-        case Opcode::Div:
-        case Opcode::Rem:
-        case Opcode::Shl:
-        case Opcode::Shr:
-        case Opcode::And:
-        case Opcode::Or:
-        case Opcode::Xor:
-        case Opcode::CmpEq:
-        case Opcode::CmpNe:
-        case Opcode::CmpLt:
-        case Opcode::CmpLe:
-        case Opcode::CmpGt:
-        case Opcode::CmpGe:
-          op(binOpToken(I.Op));
-          w(I.Dst);
-          w(I.Src1);
-          w(I.Src2);
-          break;
-        case Opcode::Neg:
-          op(VmOp::Neg);
-          w(I.Dst);
-          w(I.Src1);
-          break;
-        case Opcode::Not:
-          op(VmOp::Not);
-          w(I.Dst);
-          w(I.Src1);
           break;
         case Opcode::Load:
           op(VmOp::Load);
@@ -442,6 +349,8 @@ private:
             op(VmOp::Ret);
             w(I.Src1);
           }
+          break;
+        default: // unary and binary operators, emitted above
           break;
         }
         break;
@@ -549,32 +458,9 @@ VmProgram impact::compileToBytecode(const Module &M,
 }
 
 const char *impact::getVmOpName(VmOp Op) {
+  if (static_cast<size_t>(Op) < kNumDataTokens)
+    return getOpcodeName(static_cast<Opcode>(Op));
   switch (Op) {
-  case VmOp::Mov: return "mov";
-  case VmOp::LdImm: return "ld_imm";
-  case VmOp::Add: return "add";
-  case VmOp::Sub: return "sub";
-  case VmOp::Mul: return "mul";
-  case VmOp::Div: return "div";
-  case VmOp::Rem: return "rem";
-  case VmOp::Shl: return "shl";
-  case VmOp::Shr: return "shr";
-  case VmOp::And: return "and";
-  case VmOp::Or: return "or";
-  case VmOp::Xor: return "xor";
-  case VmOp::Neg: return "neg";
-  case VmOp::Not: return "not";
-  case VmOp::CmpEq: return "cmp_eq";
-  case VmOp::CmpNe: return "cmp_ne";
-  case VmOp::CmpLt: return "cmp_lt";
-  case VmOp::CmpLe: return "cmp_le";
-  case VmOp::CmpGt: return "cmp_gt";
-  case VmOp::CmpGe: return "cmp_ge";
-  case VmOp::Load: return "load";
-  case VmOp::Store: return "store";
-  case VmOp::FrameAddr: return "frame_addr";
-  case VmOp::GlobalAddr: return "global_addr";
-  case VmOp::FuncAddr: return "func_addr";
   case VmOp::CallUser: return "call_user";
   case VmOp::CallExt: return "call_ext";
   case VmOp::CallTrap: return "call_trap";
@@ -591,8 +477,8 @@ const char *impact::getVmOpName(VmOp Op) {
   case VmOp::JumpProbe: return "jump_probe";
   case VmOp::ProbeJump: return "probe_jump";
   case VmOp::RetProbe: return "ret_probe";
+  default: return "?";
   }
-  return "?";
 }
 
 std::string impact::disassemble(const VmFunction &F) {
@@ -604,9 +490,6 @@ std::string impact::disassemble(const VmFunction &F) {
     VmOp Op = static_cast<VmOp>(C[PC]);
     Out += "  " + std::to_string(PC) + ": " + getVmOpName(Op);
     switch (Op) {
-    case VmOp::Mov:
-    case VmOp::Neg:
-    case VmOp::Not:
     case VmOp::Load:
       Out += " " + R(C[PC + 1]) + ", " + R(C[PC + 2]);
       PC += 3;
@@ -622,25 +505,6 @@ std::string impact::disassemble(const VmFunction &F) {
       Out += " " + R(C[PC + 1]) + ", " +
              std::to_string(F.Pool[static_cast<size_t>(C[PC + 2])]);
       PC += 3;
-      break;
-    case VmOp::Add:
-    case VmOp::Sub:
-    case VmOp::Mul:
-    case VmOp::Div:
-    case VmOp::Rem:
-    case VmOp::Shl:
-    case VmOp::Shr:
-    case VmOp::And:
-    case VmOp::Or:
-    case VmOp::Xor:
-    case VmOp::CmpEq:
-    case VmOp::CmpNe:
-    case VmOp::CmpLt:
-    case VmOp::CmpLe:
-    case VmOp::CmpGt:
-    case VmOp::CmpGe:
-      Out += " " + R(C[PC + 1]) + ", " + R(C[PC + 2]) + ", " + R(C[PC + 3]);
-      PC += 4;
       break;
     case VmOp::CallUser: {
       int32_t N = C[PC + 4];
@@ -711,6 +575,14 @@ std::string impact::disassemble(const VmFunction &F) {
         Out += " " + R(C[PC + 2]);
       PC += 3;
       break;
+    default: { // the unary and binary operators' data tokens
+      bool Binary = isBinaryOp(static_cast<Opcode>(Op));
+      Out += " " + R(C[PC + 1]) + ", " + R(C[PC + 2]);
+      if (Binary)
+        Out += ", " + R(C[PC + 3]);
+      PC += Binary ? 4 : 3;
+      break;
+    }
     }
     Out += "\n";
   }

@@ -44,36 +44,18 @@
 
 namespace impact {
 
-/// Bytecode opcode tokens. Most tokens map 1:1 onto an IL opcode (the VM
-/// counts the IL opcode, so ExecStats::OpcodeCounts stays bit-identical to
-/// the walker's); call tokens split one IL opcode by compile-time
+/// Bytecode opcode tokens. The first tokens are the IL's data opcodes
+/// (ir/Opcode.h's IMPACT_DATA_OPCODES), same name and number, so the VM
+/// counts the IL opcode and ExecStats::OpcodeCounts stays bit-identical to
+/// the walker's. Their encodings: unary operators, load and store take
+/// two register words (dst/addr, src/val); binary operators and compares
+/// take three (dst, s1, s2); ld_imm and the address forms take dst and a
+/// pool index. Call tokens split one IL opcode by compile-time
 /// resolution; Cmp*Br tokens cover two IL instructions each.
 enum class VmOp : int32_t {
-  Mov,    // dst, src
-  LdImm,  // dst, pool
-  Add,    // dst, s1, s2
-  Sub,
-  Mul,
-  Div,
-  Rem,
-  Shl,
-  Shr,
-  And,
-  Or,
-  Xor,
-  Neg, // dst, src
-  Not,
-  CmpEq, // dst, s1, s2
-  CmpNe,
-  CmpLt,
-  CmpLe,
-  CmpGt,
-  CmpGe,
-  Load,       // dst, addr
-  Store,      // addr, val
-  FrameAddr,  // dst, pool (frame offset)
-  GlobalAddr, // dst, pool (absolute segment address)
-  FuncAddr,   // dst, pool (encoded function address)
+#define IMPACT_VM_DATA_TOKEN(Name, Mnemonic, Kind, Flags) Name,
+  IMPACT_DATA_OPCODES(IMPACT_VM_DATA_TOKEN)
+#undef IMPACT_VM_DATA_TOKEN
   CallUser,   // dst, callee, site, nargs, arg...
   CallExt,    // dst, handle, callee, site, msg, nargs, arg...
   CallTrap,   // site, msg   (direct call that deterministically traps)
@@ -82,7 +64,7 @@ enum class VmOp : int32_t {
   CondBr,     // cond, target, target2
   Ret,        // src (-1 for void)
 
-  // Superinstructions.
+  // Superinstructions, in the order of the compare opcodes.
   CmpEqBr, // dst, s1, s2, target, target2
   CmpNeBr,
   CmpLtBr,
@@ -96,6 +78,15 @@ enum class VmOp : int32_t {
   ProbeJump, // probe, target        (branch-edge stub: bump + jump, no step)
   RetProbe,  // probe, src           (a Ret whose arc is instrumented)
 };
+
+/// Number of data tokens: one per IL opcode before Call.
+inline constexpr size_t kNumDataTokens = static_cast<size_t>(Opcode::Call);
+static_assert(static_cast<size_t>(VmOp::CallUser) == kNumDataTokens);
+static_assert(static_cast<int32_t>(Opcode::CmpGe) -
+                      static_cast<int32_t>(Opcode::CmpEq) ==
+                  static_cast<int32_t>(VmOp::CmpGeBr) -
+                      static_cast<int32_t>(VmOp::CmpEqBr),
+              "one Cmp*Br token per compare opcode");
 
 inline constexpr size_t kNumVmOps = static_cast<size_t>(VmOp::RetProbe) + 1;
 

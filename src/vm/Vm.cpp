@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 using namespace impact;
@@ -55,7 +56,7 @@ public:
       ArcCounts.assign(P.NumProbes, 0);
     } else {
       SiteCounts.assign(P.NumSites, 0);
-      OpcodeCounts.assign(static_cast<size_t>(Opcode::Ret) + 1, 0);
+      OpcodeCounts.assign(kNumOpcodes, 0);
     }
   }
 

@@ -6,11 +6,18 @@
 
 #include "interp/Interpreter.h"
 
+#include "ir/IrVerifier.h"
+#include "opt/ConstantFolding.h"
+#include "profile/MinCover.h"
+#include "vm/Vm.h"
+
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <ostream>
+#include <vector>
 
 using namespace impact;
 using test::compileOk;
@@ -28,86 +35,217 @@ int64_t evalExpr(const std::string &Expr) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parameterized arithmetic sweep: every binary operator over a value grid,
-// checked against the host's semantics.
+// Operator semantics grid: every unary, binary and compare opcode over an
+// edge grid, through the walker, the VM (full and mincover) and constant
+// folding, against host expectations written here — independently of
+// ir/Opcode.h's evaluation. Binary operators are also compiled from their
+// MiniC spelling over a small grid, which pins the frontend's lowering.
 //===----------------------------------------------------------------------===//
 
-struct BinOpCase {
-  const char *Op;
-  int64_t (*Eval)(int64_t, int64_t);
+/// What applying an operator must produce: a value, or this exact trap.
+struct Outcome {
+  int64_t Value = 0;
+  const char *Trap = nullptr;
 };
 
-// gtest would otherwise print the raw bytes of the two pointers, which
-// change with every load address and so make the registered ctest names
-// differ from one discovery run to the next.
-void PrintTo(const BinOpCase &C, std::ostream *OS) {
-  *OS << '"' << C.Op << '"';
+struct OpCase {
+  const char *Token; // the C spelling, printed as the test parameter
+  const char *Name;  // the test-name suffix
+  Opcode Op;
+  /// Null when the opcode table has an operator this grid does not know.
+  Outcome (*Expect)(int64_t, int64_t); // unary cases ignore the second
+};
+
+// gtest would otherwise print the raw bytes of the pointers, which change
+// with every load address and so make the registered ctest names differ
+// from one discovery run to the next.
+void PrintTo(const OpCase &C, std::ostream *OS) {
+  *OS << '"' << C.Token << '"';
 }
 
-int64_t hostAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-int64_t hostSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-int64_t hostMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-int64_t hostAnd(int64_t A, int64_t B) { return A & B; }
-int64_t hostOr(int64_t A, int64_t B) { return A | B; }
-int64_t hostXor(int64_t A, int64_t B) { return A ^ B; }
-int64_t hostLt(int64_t A, int64_t B) { return A < B; }
-int64_t hostLe(int64_t A, int64_t B) { return A <= B; }
-int64_t hostGt(int64_t A, int64_t B) { return A > B; }
-int64_t hostGe(int64_t A, int64_t B) { return A >= B; }
-int64_t hostEq(int64_t A, int64_t B) { return A == B; }
-int64_t hostNe(int64_t A, int64_t B) { return A != B; }
+Outcome value(int64_t V) { return {V, nullptr}; }
+Outcome trapWith(const char *Message) { return {0, Message}; }
+int64_t wrap(uint64_t V) { return static_cast<int64_t>(V); }
+uint64_t bits(int64_t V) { return static_cast<uint64_t>(V); }
+/// The IL takes shift counts modulo 64.
+unsigned shiftCount(int64_t B) { return static_cast<unsigned>(bits(B) % 64); }
 
-class BinaryOpSemantics : public ::testing::TestWithParam<BinOpCase> {};
+Outcome hostMov(int64_t A, int64_t) { return value(A); }
+Outcome hostNeg(int64_t A, int64_t) { return value(wrap(~bits(A) + 1)); }
+Outcome hostNot(int64_t A, int64_t) {
+  return value(wrap(std::numeric_limits<uint64_t>::max() - bits(A)));
+}
+Outcome hostAdd(int64_t A, int64_t B) { return value(wrap(bits(A) + bits(B))); }
+Outcome hostSub(int64_t A, int64_t B) { return value(wrap(bits(A) - bits(B))); }
+Outcome hostMul(int64_t A, int64_t B) { return value(wrap(bits(A) * bits(B))); }
+Outcome hostDiv(int64_t A, int64_t B) {
+  if (B == 0)
+    return trapWith("division by zero");
+  if (A == std::numeric_limits<int64_t>::min() && B == -1)
+    return trapWith("division overflow");
+  return value(A / B);
+}
+Outcome hostRem(int64_t A, int64_t B) {
+  if (B == 0)
+    return trapWith("remainder by zero");
+  if (A == std::numeric_limits<int64_t>::min() && B == -1)
+    return trapWith("remainder overflow");
+  return value(A % B);
+}
+Outcome hostShl(int64_t A, int64_t B) {
+  return value(wrap(bits(A) << shiftCount(B)));
+}
+Outcome hostShr(int64_t A, int64_t B) {
+  // Arithmetic: the sign bit fills the vacated positions.
+  uint64_t Shifted = bits(A) >> shiftCount(B);
+  if (A < 0 && shiftCount(B) != 0)
+    Shifted |= ~uint64_t(0) << (64 - shiftCount(B));
+  return value(wrap(Shifted));
+}
+Outcome hostAnd(int64_t A, int64_t B) { return value(A & B); }
+Outcome hostOr(int64_t A, int64_t B) { return value(A | B); }
+Outcome hostXor(int64_t A, int64_t B) { return value(A ^ B); }
+Outcome hostLt(int64_t A, int64_t B) { return value(A < B); }
+Outcome hostLe(int64_t A, int64_t B) { return value(A <= B); }
+Outcome hostGt(int64_t A, int64_t B) { return value(A > B); }
+Outcome hostGe(int64_t A, int64_t B) { return value(A >= B); }
+Outcome hostEq(int64_t A, int64_t B) { return value(A == B); }
+Outcome hostNe(int64_t A, int64_t B) { return value(A != B); }
+
+const OpCase kOpCases[] = {
+    {"=", "Mov", Opcode::Mov, hostMov},
+    {"unary -", "Neg", Opcode::Neg, hostNeg},
+    {"~", "BitNot", Opcode::Not, hostNot},
+    {"+", "Add", Opcode::Add, hostAdd},
+    {"-", "Sub", Opcode::Sub, hostSub},
+    {"*", "Mul", Opcode::Mul, hostMul},
+    {"/", "Div", Opcode::Div, hostDiv},
+    {"%", "Rem", Opcode::Rem, hostRem},
+    {"<<", "Shl", Opcode::Shl, hostShl},
+    {">>", "Shr", Opcode::Shr, hostShr},
+    {"&", "And", Opcode::And, hostAnd},
+    {"|", "Or", Opcode::Or, hostOr},
+    {"^", "Xor", Opcode::Xor, hostXor},
+    {"<", "Lt", Opcode::CmpLt, hostLt},
+    {"<=", "LtEq", Opcode::CmpLe, hostLe},
+    {">", "Gt", Opcode::CmpGt, hostGt},
+    {">=", "GtEq", Opcode::CmpGe, hostGe},
+    {"==", "EqEq", Opcode::CmpEq, hostEq},
+    {"!=", "NotEq", Opcode::CmpNe, hostNe},
+};
+
+/// One case per operator of the opcode table, in table order: an operator
+/// added to the table without a case here gets a failing case.
+std::vector<OpCase> everyOperator() {
+  std::vector<OpCase> Cases;
+  for (size_t Idx = 0; Idx != kNumOpcodes; ++Idx) {
+    Opcode Op = static_cast<Opcode>(Idx);
+    if (!isUnaryOp(Op) && !isBinaryOp(Op))
+      continue;
+    OpCase Missing{getOpcodeName(Op), getOpcodeName(Op), Op, nullptr};
+    const OpCase *Found = &Missing;
+    for (const OpCase &C : kOpCases)
+      if (C.Op == Op)
+        Found = &C;
+    Cases.push_back(*Found);
+  }
+  return Cases;
+}
+
+/// main() { r0 = A; r1 = B; r2 = Op r0[, r1]; return r2; }
+Module makeOperatorModule(Opcode Op, int64_t A, int64_t B) {
+  Module M;
+  M.MainId = M.addFunction("main", 0, /*ReturnsVoid=*/false,
+                           /*IsExternal=*/false);
+  Function &F = M.getFunction(M.MainId);
+  std::vector<Instr> &Is = F.getBlock(F.addBlock()).Instrs;
+  Reg RA = F.addReg(), RB = F.addReg(), RD = F.addReg();
+  Is.push_back(Instr::makeLdImm(RA, A));
+  Is.push_back(Instr::makeLdImm(RB, B));
+  Is.push_back(isBinaryOp(Op) ? Instr::makeBinary(Op, RD, RA, RB)
+                              : Instr::makeUnary(Op, RD, RA));
+  Is.push_back(Instr::makeRet(RD));
+  return M;
+}
+
+void expectOutcome(const ExecResult &R, const Outcome &Want,
+                   const std::string &Where) {
+  if (Want.Trap) {
+    EXPECT_EQ(R.St, ExecResult::Status::Trapped) << Where;
+    EXPECT_EQ(R.TrapMessage, Want.Trap) << Where;
+  } else {
+    EXPECT_TRUE(R.ok()) << Where << ": " << R.TrapMessage;
+    EXPECT_EQ(R.ExitCode, Want.Value) << Where;
+  }
+}
+
+class BinaryOpSemantics : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(BinaryOpSemantics, MatchesHostOnGrid) {
-  const BinOpCase &C = GetParam();
-  const int64_t Grid[] = {-9, -2, -1, 0, 1, 2, 3, 8, 127};
-  // One program evaluating the op over a pair read from input digits would
-  // be slow; instead build one program per pair lazily but in one module:
-  // simpler and still fast — evaluate via globals.
+  const OpCase &C = GetParam();
+  ASSERT_NE(C.Expect, nullptr)
+      << "opcode '" << getOpcodeName(C.Op)
+      << "' has no expectation in this grid; add one to kOpCases";
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Grid[] = {Min, Min + 1, -2, -1, 0, 1, 2, 63, 64, 127, Max};
+  bool AnyTrap = false;
   for (int64_t A : Grid) {
     for (int64_t B : Grid) {
-      std::string Expr = "(" + std::to_string(A) + " " + C.Op + " (" +
+      if (!isBinaryOp(C.Op) && B != Grid[0])
+        break; // unary: one pass over the grid
+      Outcome Want = C.Expect(A, B);
+      AnyTrap |= Want.Trap != nullptr;
+      std::string Where = std::string(getOpcodeName(C.Op)) + " " +
+                          std::to_string(A) + ", " + std::to_string(B);
+      Module M = makeOperatorModule(C.Op, A, B);
+      ASSERT_EQ(verifyModuleText(M), "");
+
+      expectOutcome(runProgram(M), Want, Where + " (walker)");
+      expectOutcome(runProgramVm(M), Want, Where + " (vm)");
+      MinCoverPlan Plan = buildMinCoverPlan(M);
+      RunOptions MinCover;
+      MinCover.MinCover = &Plan;
+      expectOutcome(runProgramVm(M, MinCover), Want,
+                    Where + " (vm mincover)");
+
+      // Folding computes the value at compile time, or leaves the trapping
+      // operator in place for the runtime to raise.
+      Module Folded = M;
+      runConstantFolding(Folded);
+      const Instr &I = Folded.getFunction(Folded.MainId).Blocks[0].Instrs[2];
+      if (Want.Trap) {
+        EXPECT_EQ(I.Op, C.Op) << Where << " (fold)";
+        expectOutcome(runProgram(Folded), Want, Where + " (folded)");
+      } else {
+        EXPECT_EQ(I.Op, Opcode::LdImm) << Where << " (fold)";
+        EXPECT_EQ(I.Imm, Want.Value) << Where << " (fold)";
+      }
+    }
+  }
+  EXPECT_EQ(AnyTrap, mayTrap(C.Op))
+      << "the opcode table's may-trap flag disagrees with the grid";
+
+  // The C spelling of a binary operator compiles to the same semantics.
+  if (!isBinaryOp(C.Op))
+    return;
+  const int64_t Small[] = {-9, -2, -1, 0, 1, 2, 3, 8, 127};
+  for (int64_t A : Small) {
+    for (int64_t B : Small) {
+      Outcome Want = C.Expect(A, B);
+      if (Want.Trap)
+        continue;
+      std::string Expr = "(" + std::to_string(A) + " " + C.Token + " (" +
                          std::to_string(B) + "))";
-      EXPECT_EQ(evalExpr(Expr), C.Eval(A, B))
-          << A << " " << C.Op << " " << B;
+      EXPECT_EQ(evalExpr(Expr), Want.Value) << Expr;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllOps, BinaryOpSemantics,
-    ::testing::Values(BinOpCase{"+", hostAdd}, BinOpCase{"-", hostSub},
-                      BinOpCase{"*", hostMul}, BinOpCase{"&", hostAnd},
-                      BinOpCase{"|", hostOr}, BinOpCase{"^", hostXor},
-                      BinOpCase{"<", hostLt}, BinOpCase{"<=", hostLe},
-                      BinOpCase{">", hostGt}, BinOpCase{">=", hostGe},
-                      BinOpCase{"==", hostEq}, BinOpCase{"!=", hostNe}),
-    [](const ::testing::TestParamInfo<BinOpCase> &Info) {
-      std::string Name;
-      for (const char *P = Info.param.Op; *P; ++P)
-        switch (*P) {
-        case '+': Name += "Add"; break;
-        case '-': Name += "Sub"; break;
-        case '*': Name += "Mul"; break;
-        case '&': Name += "And"; break;
-        case '|': Name += "Or"; break;
-        case '^': Name += "Xor"; break;
-        case '<': Name += "Lt"; break;
-        case '>': Name += "Gt"; break;
-        case '=': Name += "Eq"; break;
-        case '!': Name += "Not"; break;
-        }
-      return Name;
+    AllOps, BinaryOpSemantics, ::testing::ValuesIn(everyOperator()),
+    [](const ::testing::TestParamInfo<OpCase> &Info) {
+      return std::string(Info.param.Name);
     });
 
 //===----------------------------------------------------------------------===//

@@ -89,6 +89,102 @@ TEST(IrReader, RoundTripsEliminatedFunctions) {
   EXPECT_EQ(printModule(R.M), Text);
 }
 
+/// A module whose main holds one instruction of \p Op: operands in r1..r3,
+/// a one-word frame, one global, and an int callee of one parameter.
+Module makeOneOpcodeModule(Opcode Op) {
+  Module M;
+  M.addGlobal("g", 1);
+  FuncId Callee = M.addFunction("callee", 1, /*ReturnsVoid=*/false,
+                                /*IsExternal=*/false);
+  Function &C = M.getFunction(Callee);
+  C.addReg();
+  C.getBlock(C.addBlock()).Instrs.push_back(Instr::makeRet(0));
+
+  M.MainId = M.addFunction("main", 0, false, false);
+  Function &F = M.getFunction(M.MainId);
+  F.FrameSize = 1;
+  for (int R = 0; R != 4; ++R)
+    F.addReg();
+  BlockId Entry = F.addBlock(), Then = F.addBlock(), Else = F.addBlock();
+  F.getBlock(Then).Instrs.push_back(Instr::makeRet(1));
+  F.getBlock(Else).Instrs.push_back(Instr::makeRet(2));
+
+  Instr I;
+  switch (getOpInfo(Op).Kind) {
+  case OpKind::Unary:
+    I = Instr::makeUnary(Op, 1, 2);
+    break;
+  case OpKind::Binary:
+  case OpKind::Compare:
+    I = Instr::makeBinary(Op, 1, 2, 3);
+    break;
+  case OpKind::Other:
+    switch (Op) {
+    case Opcode::LdImm:
+      I = Instr::makeLdImm(1, -7);
+      break;
+    case Opcode::Load:
+      I = Instr::makeLoad(1, 2);
+      break;
+    case Opcode::Store:
+      I = Instr::makeStore(2, 3);
+      break;
+    case Opcode::FrameAddr:
+      I = Instr::makeFrameAddr(1, 0);
+      break;
+    case Opcode::GlobalAddr:
+      I = Instr::makeGlobalAddr(1, 0);
+      break;
+    case Opcode::FuncAddr:
+      I = Instr::makeFuncAddr(1, Callee);
+      break;
+    case Opcode::Call:
+      I = Instr::makeCall(1, Callee, {2}, M.allocateSiteId());
+      break;
+    case Opcode::CallPtr:
+      I = Instr::makeCallPtr(1, 3, {2}, M.allocateSiteId());
+      break;
+    case Opcode::Jump:
+      I = Instr::makeJump(Then);
+      break;
+    case Opcode::CondBr:
+      I = Instr::makeCondBr(2, Then, Else);
+      break;
+    case Opcode::Ret:
+      I = Instr::makeRet(3);
+      break;
+    default:
+      ADD_FAILURE() << "no sample instruction for '" << getOpcodeName(Op)
+                    << "'";
+      break;
+    }
+    break;
+  }
+  std::vector<Instr> &Is = F.getBlock(Entry).Instrs;
+  Is.push_back(I);
+  if (!I.isTerminator())
+    Is.push_back(Instr::makeJump(Then));
+  return M;
+}
+
+TEST(IrReader, RoundTripsEveryOpcode) {
+  for (size_t Idx = 0; Idx != kNumOpcodes; ++Idx) {
+    Opcode Op = static_cast<Opcode>(Idx);
+    SCOPED_TRACE(getOpcodeName(Op));
+    Module M = makeOneOpcodeModule(Op);
+    ASSERT_EQ(verifyModuleText(M), "");
+    std::string Text = printModule(M);
+    const Instr &I = M.getFunction(M.MainId).Blocks[0].Instrs[0];
+    ASSERT_EQ(I.Op, Op);
+    EXPECT_NE(printInstr(I).find(getOpcodeName(Op)), std::string::npos)
+        << printInstr(I);
+    IrReadResult R = parseModuleText(Text);
+    ASSERT_TRUE(R.Ok) << R.Error << "\nin:\n" << Text;
+    EXPECT_EQ(verifyModuleText(R.M), "");
+    EXPECT_EQ(printModule(R.M), Text);
+  }
+}
+
 TEST(IrReader, MissingHeaderRejected) {
   IrReadResult R = parseModuleText("int f(params=0, regs=0, frame=0) {\n");
   EXPECT_FALSE(R.Ok);

@@ -11,6 +11,7 @@
 #include "opt/PassManager.h"
 
 #include "ir/IrVerifier.h"
+#include "vm/Vm.h"
 
 #include "TestUtil.h"
 
@@ -81,6 +82,52 @@ TEST(ConstantFolding, PreservesDivisionByZeroTrap) {
   ExecResult R = runProgram(M);
   EXPECT_EQ(R.St, ExecResult::Status::Trapped)
       << "the fold must not erase the runtime trap";
+}
+
+/// A dead div/rem still traps: neither DCE alone nor the whole pipeline
+/// may delete the trap with the unused result, on either engine.
+void expectDeadTrapSurvives(const char *Source, const std::string &Trap) {
+  OptOptions DceOnly;
+  ASSERT_TRUE(parseOptPasses("dce", DceOnly, nullptr));
+  OptOptions All;
+  ASSERT_TRUE(parseOptPasses("all", All, nullptr));
+  ASSERT_EQ(runProgram(compileOk(Source)).TrapMessage, Trap);
+  for (const OptOptions &Opts : {DceOnly, All}) {
+    Module M = compileOk(Source);
+    runOptimizationPipeline(M, Opts);
+    ASSERT_EQ(verifyModuleText(M), "");
+    for (const ExecResult &R : {runProgram(M), runProgramVm(M)}) {
+      EXPECT_EQ(R.St, ExecResult::Status::Trapped)
+          << renderOptPasses(Opts) << ": exit " << R.ExitCode;
+      EXPECT_EQ(R.TrapMessage, Trap) << renderOptPasses(Opts);
+    }
+  }
+}
+
+TEST(DeadCodeElimination, KeepsDeadDivisionByZero) {
+  expectDeadTrapSurvives(
+      "int main() { int a; int b; a = 0; b = 5 / a; return 7; }",
+      "division by zero");
+}
+
+TEST(DeadCodeElimination, KeepsDeadRemainderByZeroInCallee) {
+  expectDeadTrapSurvives("int f(int x) { int r; r = 5 % x; return 3; }"
+                         "int main() { return f(0); }",
+                         "remainder by zero");
+}
+
+TEST(DeadCodeElimination, KeepsDeadDivisionOverflow) {
+  expectDeadTrapSurvives("int main() { int m; int a; int b;"
+                         "m = -9223372036854775807 - 1; a = -1;"
+                         "b = m / a; return 7; }",
+                         "division overflow");
+}
+
+TEST(DeadCodeElimination, KeepsDeadDivisionInLoop) {
+  expectDeadTrapSurvives("int main() { int i; int b;"
+                         "for (i = 0; i < 3; i = i + 1) b = 100 / (i - 1);"
+                         "return i; }",
+                         "division by zero");
 }
 
 TEST(ConstantFolding, DoesNotFoldAcrossCalls) {
