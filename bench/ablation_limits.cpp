@@ -30,7 +30,7 @@ int main(int argc, char **argv) {
     TableWriter T({"budget", "avg call dec", "avg code inc", "expansions",
                    "budget rejections"});
     for (double Factor : {1.0, 1.1, 1.25, 1.5, 2.0, 4.0, 16.0}) {
-      PipelineOptions Options;
+      PipelineOptions Options = baseOptions();
       Options.Inline.CodeGrowthFactor = Factor;
       std::vector<SuiteRun> Suite =
           runSuiteExperiment(Options, /*RunsOverride=*/4);
@@ -91,6 +91,8 @@ int main() {
     TableWriter T({"stack bound", "call dec", "stack rejections",
                    "peak stack before", "peak stack after"});
     for (int64_t Bound : {64ll, 512ll, 2048ll, 65536ll, 1ll << 30}) {
+      // A single serial pipeline outside the suite batches: the harness
+      // flags do not reach it.
       PipelineOptions Options;
       Options.Inline.StackBound = Bound;
       Options.Inline.MinArcWeight = 1.0;
@@ -124,7 +126,7 @@ int main() {
   {
     TableWriter T({"mode", "avg call dec", "avg code inc", "expansions"});
     for (bool Pessimistic : {false, true}) {
-      PipelineOptions Options;
+      PipelineOptions Options = baseOptions();
       Options.Inline.TreatExternalCyclesAsRecursion = Pessimistic;
       std::vector<SuiteRun> Suite =
           runSuiteExperiment(Options, /*RunsOverride=*/4);

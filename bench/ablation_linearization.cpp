@@ -53,7 +53,7 @@ int main(int argc, char **argv) {
   TableWriter T({"policy", "avg call dec", "avg code inc", "expansions",
                  "order violations"});
 
-  PipelineOptions Options;
+  PipelineOptions Options = baseOptions();
   Options.Inline.Policy = LinearizationPolicy::ProfileSorted;
   reportPolicy(T, "profile-sorted (paper)", Options);
 

@@ -82,7 +82,8 @@ VariantResult runVariant(const BenchmarkSpec &B,
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  cli::parseCommandLine(argc, argv, "ablation_static_heuristic", {});
   std::printf("Ablation: profile-guided vs structure-only inline "
               "decisions (§4.2's open question)\n\n");
 

@@ -29,7 +29,7 @@ int main(int argc, char **argv) {
   TableWriter T({"threshold", "avg call dec", "avg code inc",
                  "expansions", "safe sites"});
   for (double Threshold : {1.0, 5.0, 10.0, 50.0, 200.0, 1000.0}) {
-    PipelineOptions Options;
+    PipelineOptions Options = baseOptions();
     Options.Inline.MinArcWeight = Threshold;
     std::vector<SuiteRun> Suite =
         runSuiteExperiment(Options, /*RunsOverride=*/4);

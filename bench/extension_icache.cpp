@@ -47,7 +47,8 @@ double measureMissRate(const Module &M, const RunInput &In,
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  cli::parseCommandLine(argc, argv, "extension_icache", {});
   std::printf("Extension: instruction-cache miss rate before/after inline "
               "expansion\n");
   std::printf("(motivated by §5; shape claim: inlining helps most in "

@@ -30,7 +30,7 @@ int main(int argc, char **argv) {
   std::printf("Table 1: Benchmark characteristics\n");
   std::printf("(paper: Hwu & Chang, PLDI 1989, Table 1)\n\n");
 
-  std::vector<SuiteRun> Suite = runSuiteExperiment();
+  std::vector<SuiteRun> Suite = runSuiteExperiment(baseOptions());
 
   TableWriter T({"benchmark", "MiniC lines", "runs", "IL's", "control",
                  "input description"});

@@ -28,7 +28,7 @@ int main(int argc, char **argv) {
   std::printf("(paper: Hwu & Chang, PLDI 1989, Table 2; paper averages: "
               "unsafe ~65%%, safe ~11%%)\n\n");
 
-  std::vector<SuiteRun> Suite = runSuiteExperiment();
+  std::vector<SuiteRun> Suite = runSuiteExperiment(baseOptions());
 
   TableWriter T({"benchmark", "total", "external", "pointer", "unsafe",
                  "safe", "sites/line"});

@@ -27,7 +27,7 @@ int main(int argc, char **argv) {
   std::printf("(paper: Hwu & Chang, PLDI 1989, Table 3; paper average: "
               "safe sites cover ~69%% of dynamic calls)\n\n");
 
-  std::vector<SuiteRun> Suite = runSuiteExperiment();
+  std::vector<SuiteRun> Suite = runSuiteExperiment(baseOptions());
 
   TableWriter T({"benchmark", "calls/run", "external", "pointer", "unsafe",
                  "safe"});

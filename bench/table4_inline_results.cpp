@@ -29,7 +29,7 @@ int main(int argc, char **argv) {
   std::printf("(paper: Hwu & Chang, PLDI 1989, Table 4; columns marked "
               "[paper] are its values)\n\n");
 
-  std::vector<SuiteRun> Suite = runSuiteExperiment();
+  std::vector<SuiteRun> Suite = runSuiteExperiment(baseOptions());
   const std::vector<PaperTable4Row> &Paper = getPaperTable4();
 
   TableWriter T({"benchmark", "code inc", "[paper]", "call dec", "[paper]",
@@ -124,7 +124,7 @@ int main(int argc, char **argv) {
     Passes.Peephole = P.Peephole;
     Passes.LoopInvariantCodeMotion = P.Licm;
     for (bool Inline : {false, true}) {
-      PipelineOptions Options;
+      PipelineOptions Options = baseOptions();
       Options.PreOpt = Passes;
       if (Inline) {
         Options.Inline.PostInlineOptimize = true;
@@ -194,7 +194,7 @@ int main(int argc, char **argv) {
     Passes.LoopInvariantCodeMotion = true;
     Passes.Ranges = Ranges;
     for (bool Inline : {false, true}) {
-      PipelineOptions Options;
+      PipelineOptions Options = baseOptions();
       Options.PreOpt = Passes;
       if (Inline) {
         Options.Inline.PostInlineOptimize = true;

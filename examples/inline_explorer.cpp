@@ -21,24 +21,25 @@
 #include "driver/Compilation.h"
 #include "profile/Profiler.h"
 #include "suite/Suite.h"
+#include "support/CommandLine.h"
 
 #include <cstdio>
-#include <string_view>
+#include <string>
+#include <vector>
 
 using namespace impact;
 
 int main(int argc, char **argv) {
   bool Dot = false;
-  const char *Name = "grep";
-  for (int I = 1; I < argc; ++I) {
-    if (std::string_view(argv[I]) == "--dot")
-      Dot = true;
-    else
-      Name = argv[I];
-  }
+  std::vector<std::string> Positional = cli::parseCommandLine(
+      argc, argv, "inline_explorer [benchmark]",
+      {cli::switchFlag("dot", "emit the call graph as Graphviz", Dot)},
+      /*MaxPositionals=*/1);
+  std::string Name = Positional.empty() ? "grep" : Positional[0];
   const BenchmarkSpec *B = findBenchmark(Name);
   if (!B) {
-    std::fprintf(stderr, "unknown benchmark '%s'; pick one of:", Name);
+    std::fprintf(stderr, "unknown benchmark '%s'; pick one of:",
+                 Name.c_str());
     for (const BenchmarkSpec &S : getBenchmarkSuite())
       std::fprintf(stderr, " %s", S.Name.c_str());
     std::fprintf(stderr, "\n");

@@ -27,10 +27,10 @@
 #include "ir/IrVerifier.h"
 #include "opt/PassManager.h"
 #include "profile/Profiler.h"
+#include "support/CommandLine.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -39,20 +39,12 @@ using namespace impact;
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: minicc [--dump-il] [--inline] [--growth=N] "
-               "[--stats] file.mc... [file.il...]\n"
-               "  program input is read from stdin\n");
-  return 2;
-}
-
 /// Loads one translation unit: MiniC source, or textual IL for files
 /// ending in ".il".
-bool loadUnit(const char *Path, bool RequireMain, Module &Out) {
+bool loadUnit(const std::string &Path, bool RequireMain, Module &Out) {
   std::ifstream File(Path);
   if (!File) {
-    std::fprintf(stderr, "minicc: cannot open %s\n", Path);
+    std::fprintf(stderr, "minicc: cannot open %s\n", Path.c_str());
     return false;
   }
   std::stringstream Buffer;
@@ -62,7 +54,7 @@ bool loadUnit(const char *Path, bool RequireMain, Module &Out) {
       PathView.substr(PathView.size() - 3) == ".il") {
     IrReadResult R = parseModuleText(Buffer.str());
     if (!R.Ok) {
-      std::fprintf(stderr, "minicc: %s: %s\n", Path, R.Error.c_str());
+      std::fprintf(stderr, "minicc: %s: %s\n", Path.c_str(), R.Error.c_str());
       return false;
     }
     Out = std::move(R.M);
@@ -84,23 +76,23 @@ int main(int argc, char **argv) {
   // Tool default: small demo programs need more relative headroom than
   // the suite-calibrated library default of 1.25x.
   double GrowthFactor = 2.0;
-  std::vector<const char *> Paths;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--dump-il") == 0)
-      DumpIl = true;
-    else if (std::strcmp(argv[I], "--inline") == 0)
-      Inline = true;
-    else if (std::strcmp(argv[I], "--stats") == 0)
-      Stats = true;
-    else if (std::strncmp(argv[I], "--growth=", 9) == 0)
-      GrowthFactor = std::atof(argv[I] + 9);
-    else if (argv[I][0] == '-')
-      return usage();
-    else
-      Paths.push_back(argv[I]);
+  std::vector<cli::Flag> Flags = {
+      cli::switchFlag("dump-il", "print the IL instead of running", DumpIl),
+      cli::switchFlag("inline", "profile on stdin, inline, re-run", Inline),
+      {"growth", "N", "inline code-size budget factor (default 2.0)",
+       [&GrowthFactor](const std::string &V, std::string &Error) {
+         return cli::parseNonNegative(V, GrowthFactor, Error);
+       }},
+      cli::switchFlag("stats", "print dynamic statistics after the run",
+                      Stats),
+  };
+  std::vector<std::string> Paths = cli::parseCommandLine(
+      argc, argv, "minicc file.mc... [file.il...]", Flags, SIZE_MAX);
+  if (Paths.empty()) {
+    std::fprintf(stderr, "minicc: no input files (see --help); program "
+                         "input is read from stdin\n");
+    return 2;
   }
-  if (Paths.empty())
-    return usage();
 
   // Single file: compile directly. Several files: separate compilation
   // followed by a link step (§2.1), after which main must exist.

@@ -10,125 +10,70 @@
 /// row. Useful for exploring the tradeoff space interactively.
 ///
 ///   pgo_pipeline [benchmark] [threshold] [growth-factor] [stack-bound]
-///                [--trace] [--trace-out=FILE] [--analyze[=RULES]]
-///                [--profile-out=FILE] [--profile-in=FILE]
-///                [--instrument=full|mincover] [--help]
+///                [flags]       (--help lists the flags)
 ///   e.g. pgo_pipeline compress 10 1.25 2048 --trace
 ///
-/// --trace prints the planner's per-site decision table (why each call
-/// site was or was not expanded, with the numbers behind the verdict);
-/// --trace-out= writes the same trace as JSON lines. --profile-out= saves
-/// the measured profile; --profile-in= drives the compile from a saved
-/// profile without re-running the interpreter's measuring runs.
-/// --analyze runs the static analyzer on the post-inline module and
-/// prints every finding; RULES selects rules ("all", "dead-store",
-/// "all,-uninit-read", ...). Error findings fail the pipeline.
+/// --trace prints why each call site was or was not expanded, with the
+/// numbers behind the verdict; --analyze prints every analyzer finding
+/// on the post-inline module (error findings fail the pipeline).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyzer.h"
 #include "driver/DecisionTrace.h"
 #include "driver/Pipeline.h"
-#include "profile/MinCover.h"
 #include "profile/ProfileIO.h"
+#include "support/FaultInjection.h"
 #include "suite/Suite.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 using namespace impact;
 
-namespace {
-
-bool matchOption(const char *Arg, const char *Name, std::string &Value) {
-  std::string Prefix = std::string("--") + Name + "=";
-  if (std::strncmp(Arg, Prefix.c_str(), Prefix.size()) != 0)
-    return false;
-  Value = Arg + Prefix.size();
-  return true;
-}
-
-const char *const kUsage =
-    "usage: pgo_pipeline [benchmark] [threshold] [growth-factor] "
-    "[stack-bound] [--trace] [--trace-out=FILE] [--analyze[=RULES]] "
-    "[--profile-out=FILE] [--profile-in=FILE] "
-    "[--instrument=full|mincover] [--help]\n";
-
-} // namespace
-
 int main(int argc, char **argv) {
-  bool PrintTrace = false;
-  bool Analyze = false;
-  AnalysisOptions AnalysisOpts;
-  InstrumentMode Instrument = InstrumentMode::Full;
-  if (const char *Env = std::getenv("IMPACT_INSTRUMENT")) {
-    std::string Error;
-    if (!parseInstrumentMode(Env, Instrument, &Error)) {
-      std::fprintf(stderr, "IMPACT_INSTRUMENT: %s\n", Error.c_str());
-      return 2;
-    }
-  }
+  PipelineOptions Options;
+  FaultPlan NoFaults; // pgo_pipeline takes no --faults row
   std::string TraceOutPath, ProfileOutPath, ProfileInPath;
-  std::vector<const char *> Positional;
-  for (int I = 1; I < argc; ++I) {
-    std::string Value;
-    if (std::strcmp(argv[I], "--help") == 0 ||
-        std::strcmp(argv[I], "-h") == 0) {
-      std::fputs(kUsage, stdout);
-      return 0;
-    } else if (std::strcmp(argv[I], "--trace") == 0)
-      PrintTrace = true;
-    else if (std::strcmp(argv[I], "--analyze") == 0)
-      Analyze = true;
-    else if (matchOption(argv[I], "analyze", Value)) {
-      std::string Error;
-      if (!parseAnalysisRules(Value, AnalysisOpts, &Error)) {
-        std::fprintf(stderr, "--analyze: %s\n", Error.c_str());
-        return 2;
-      }
-      Analyze = true;
-    } else if (matchOption(argv[I], "instrument", Value)) {
-      std::string Error;
-      if (!parseInstrumentMode(Value, Instrument, &Error)) {
-        std::fprintf(stderr, "--instrument: %s\n", Error.c_str());
-        return 2;
-      }
-    } else if (matchOption(argv[I], "trace-out", Value))
-      TraceOutPath = Value;
-    else if (matchOption(argv[I], "profile-out", Value))
-      ProfileOutPath = Value;
-    else if (matchOption(argv[I], "profile-in", Value))
-      ProfileInPath = Value;
-    else if (std::strncmp(argv[I], "--", 2) == 0) {
-      // A typo'd flag must not silently become the threshold positional.
-      std::fprintf(stderr, "unknown option '%s'\n%s", argv[I], kUsage);
-      return 2;
-    } else
-      Positional.push_back(argv[I]);
-  }
+  std::vector<cli::Flag> Flags = {
+      cli::switchFlag("trace", "print the planner's per-site decision table",
+                      Options.EmitDecisionTrace),
+      cli::textFlag("trace-out", "FILE",
+                    "write the decision trace as JSON lines", TraceOutPath),
+      cli::textFlag("profile-out", "FILE", "save the measured profile",
+                    ProfileOutPath),
+      cli::textFlag("profile-in", "FILE",
+                    "drive the compile from a saved profile", ProfileInPath),
+  };
+  for (cli::Flag &F :
+       getPipelineFlags(Options, NoFaults, {"analyze", "instrument"}))
+    Flags.push_back(std::move(F));
+  std::vector<std::string> Positional = cli::parseCommandLine(
+      argc, argv,
+      "pgo_pipeline [benchmark] [threshold] [growth-factor] [stack-bound]",
+      Flags, /*MaxPositionals=*/4);
 
-  const char *Name = Positional.size() > 0 ? Positional[0] : "compress";
+  std::string Name = Positional.size() > 0 ? Positional[0] : "compress";
   const BenchmarkSpec *B = findBenchmark(Name);
   if (!B) {
-    std::fprintf(stderr, "unknown benchmark '%s'\n", Name);
+    std::fprintf(stderr, "unknown benchmark '%s'\n", Name.c_str());
     return 2;
   }
-
-  PipelineOptions Options;
-  if (Positional.size() > 1)
-    Options.Inline.MinArcWeight = std::atof(Positional[1]);
-  if (Positional.size() > 2)
-    Options.Inline.CodeGrowthFactor = std::atof(Positional[2]);
-  if (Positional.size() > 3)
-    Options.Inline.StackBound = std::atoll(Positional[3]);
-  Options.EmitDecisionTrace = PrintTrace;
-  Options.Analyze = Analyze;
-  Options.Analysis = AnalysisOpts;
-  Options.Instrument = Instrument;
+  // The numeric positionals are strictly parsed: "abc" or "-5" exits 2.
+  auto Number = [&](size_t I, const char *What, auto &Out) {
+    std::string Error;
+    if (I >= Positional.size() ||
+        cli::parseNonNegative(Positional[I], Out, Error))
+      return true;
+    std::fprintf(stderr, "pgo_pipeline: %s: %s\n", What, Error.c_str());
+    return false;
+  };
+  if (!Number(1, "threshold", Options.Inline.MinArcWeight) ||
+      !Number(2, "growth-factor", Options.Inline.CodeGrowthFactor) ||
+      !Number(3, "stack-bound", Options.Inline.StackBound))
+    return 2;
 
   ProfileData LoadedProfile;
   if (!ProfileInPath.empty()) {
@@ -160,9 +105,9 @@ int main(int argc, char **argv) {
     }
     std::printf("profile saved to %s\n", ProfileOutPath.c_str());
   }
-  if (PrintTrace)
+  if (Options.EmitDecisionTrace)
     std::printf("%s", R.DecisionTrace.c_str());
-  if (Analyze) {
+  if (Options.Analyze) {
     if (R.Analysis.Findings.empty())
       std::printf("analyze: clean\n");
     else

@@ -8,6 +8,7 @@
 
 #include "analysis/RangeAnalysis.h"
 #include "core/WeightRedistribution.h"
+#include "support/CommandLine.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -73,29 +74,13 @@ constexpr RuleDesc kRuleTable[] = {
      "CFG-reachable block that range propagation proves never executes"},
 };
 
-/// Levenshtein distance, two-row formulation; powers the did-you-mean
-/// suggestion for misspelled rule names.
-size_t editDistance(std::string_view A, std::string_view B) {
-  std::vector<size_t> Prev(B.size() + 1), Cur(B.size() + 1);
-  for (size_t J = 0; J <= B.size(); ++J)
-    Prev[J] = J;
-  for (size_t I = 0; I != A.size(); ++I) {
-    Cur[0] = I + 1;
-    for (size_t J = 0; J != B.size(); ++J)
-      Cur[J + 1] = std::min({Prev[J + 1] + 1, Cur[J] + 1,
-                             Prev[J] + (A[I] == B[J] ? 0 : 1)});
-    std::swap(Prev, Cur);
-  }
-  return Prev[B.size()];
-}
-
 } // namespace
 
 std::string impact::renderAnalysisRuleTable() {
   std::string Out =
-      "analysis rules (--analyze=<spec> / IMPACT_ANALYZE=<spec>; a spec is "
-      "a comma list of\nrule names, \"all\", or \"-name\" to disable; "
-      "\"help\" prints this table):\n";
+      "analysis rules (--analyze=<spec>; a spec is a comma list of rule "
+      "names,\n\"all\", or \"-name\" to disable; \"help\" prints this "
+      "table):\n";
   size_t Width = 0;
   for (const RuleDesc &R : kRuleTable)
     Width = std::max(Width, std::string_view(R.Name).size());
@@ -115,70 +100,26 @@ std::string impact::renderAnalysisRuleTable() {
 
 bool impact::parseAnalysisRules(std::string_view Spec, AnalysisOptions &Out,
                                 std::string *Error) {
-  auto SetAll = [&](bool Value) {
-    for (const RuleDesc &R : kRuleTable)
-      Out.*(R.Flag) = Value;
-  };
-
-  std::string_view Trimmed = trimString(Spec);
-  if (Trimmed.empty() || Trimmed == "all" || Trimmed == "1" ||
-      Trimmed == "on") {
-    SetAll(true);
-    return true;
-  }
-
-  // A spec that names rules positively starts from nothing enabled;
-  // "all,-x" style specs start from everything.
-  bool SawPositive = false;
-  for (std::string_view Token : splitString(Trimmed, ',')) {
-    std::string_view T = trimString(Token);
-    if (!T.empty() && T != "all" && T[0] != '-')
-      SawPositive = true;
-  }
-  SetAll(!SawPositive);
-
-  for (std::string_view Token : splitString(Trimmed, ',')) {
-    std::string_view T = trimString(Token);
-    if (T.empty())
-      continue;
-    if (T == "all") {
-      SetAll(true);
-      continue;
+  std::vector<std::string_view> Names;
+  for (const RuleDesc &R : kRuleTable)
+    Names.push_back(R.Name);
+  std::vector<bool> Selected;
+  std::string_view Unknown;
+  if (!cli::parseSelection(Spec, Names, Selected, Unknown)) {
+    if (Error) {
+      *Error = "unknown analysis rule '" + std::string(Unknown) + "'";
+      if (std::string_view Best = findClosestMatch(Unknown, Names);
+          !Best.empty())
+        *Error += "; did you mean '" + std::string(Best) + "'?";
+      *Error += " valid: all";
+      for (std::string_view Name : Names)
+        *Error += ", " + std::string(Name);
+      *Error += ", help";
     }
-    bool Enable = true;
-    if (T[0] == '-') {
-      Enable = false;
-      T = T.substr(1);
-    }
-    bool Known = false;
-    for (const RuleDesc &R : kRuleTable)
-      if (T == R.Name) {
-        Out.*(R.Flag) = Enable;
-        Known = true;
-        break;
-      }
-    if (!Known) {
-      if (Error) {
-        *Error = "unknown analysis rule '" + std::string(T) + "'";
-        const char *Best = nullptr;
-        size_t BestDist = 0;
-        for (const RuleDesc &R : kRuleTable) {
-          size_t D = editDistance(T, R.Name);
-          if (!Best || D < BestDist) {
-            Best = R.Name;
-            BestDist = D;
-          }
-        }
-        if (Best && BestDist <= std::max<size_t>(2, T.size() / 3))
-          *Error += "; did you mean '" + std::string(Best) + "'?";
-        *Error += " valid: all";
-        for (const RuleDesc &R : kRuleTable)
-          *Error += std::string(", ") + R.Name;
-        *Error += ", help";
-      }
-      return false;
-    }
+    return false;
   }
+  for (size_t I = 0; I != Names.size(); ++I)
+    Out.*(kRuleTable[I].Flag) = Selected[I];
   return true;
 }
 

@@ -99,20 +99,16 @@ struct AnalysisOptions {
   double WeightTolerance = 1e-6;
 };
 
-/// Parses an --analyze= / IMPACT_ANALYZE rule spec into \p Out.
-///
-/// Grammar: a comma-separated list of tokens. "all" (also "", "1", "on")
-/// enables every rule; a rule name enables that rule; "-name" disables
-/// it. A spec that never mentions "all" and contains at least one bare
-/// rule name starts from all-disabled, so "--analyze=dead-store" means
-/// exactly that one rule; "--analyze=all,-dead-store" means all but one.
-/// Unknown names fail with \p Error listing the valid rules (plus a
-/// did-you-mean suggestion when a known name is an edit or two away).
+/// Parses an --analyze= rule spec into \p Out (cli::parseSelection's
+/// grammar: "dead-store" is exactly that rule, "all,-dead-store" all but
+/// it). Unknown names fail with \p Error listing the valid rules (plus a
+/// did-you-mean suggestion when a known name is an edit or two away) and
+/// leave \p Out untouched.
 bool parseAnalysisRules(std::string_view Spec, AnalysisOptions &Out,
                         std::string *Error = nullptr);
 
 /// The full rule table — name, severity, one-line description — as the
-/// --analyze=help / IMPACT_ANALYZE=help listing. Newline-terminated.
+/// --analyze=help listing. Newline-terminated.
 std::string renderAnalysisRuleTable();
 
 /// The findings of one analyzed unit, in deterministic order.

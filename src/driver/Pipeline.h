@@ -21,7 +21,9 @@
 #include "driver/Compilation.h"
 #include "opt/PassManager.h"
 #include "profile/Profiler.h"
+#include "support/CommandLine.h"
 
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,7 +105,7 @@ struct PipelineOptions {
   /// Rule selection and tolerances for the analyze stage.
   AnalysisOptions Analysis;
   /// Deterministic fault plan (support/FaultInjection.h), normally parsed
-  /// from IMPACT_FAULTS. Each attempt opens its own FaultSession, so
+  /// from --faults=. Each attempt opens its own FaultSession, so
   /// injection is reproducible at any batch thread count. Null = inert.
   const FaultPlan *Faults = nullptr;
   /// Extra attempts after a failed one (bounded retry for transient
@@ -112,6 +114,15 @@ struct PipelineOptions {
   /// to a run that never failed.
   unsigned RetryAttempts = 0;
 };
+
+/// The pipeline's command-line rows (support/CommandLine.h) — --engine,
+/// --instrument, --passes, --analyze[=RULES], --faults, --retries — each
+/// running its strict parser straight into \p Options. A parsed fault
+/// plan lives in \p Faults, which must outlive \p Options. \p Names, when
+/// given, keeps only those rows.
+std::vector<cli::Flag>
+getPipelineFlags(PipelineOptions &Options, FaultPlan &Faults,
+                 std::initializer_list<std::string_view> Names = {});
 
 /// Wall-clock and work counters for one pipeline run, per phase. Purely
 /// observational: none of these feed back into compilation, so two runs of

@@ -12,8 +12,8 @@
 /// surfaces as a structured, quarantinable unit failure instead of a wrong
 /// profile.
 ///
-/// Spelled `walk` / `vm` / `both` everywhere user-facing (--engine=,
-/// IMPACT_ENGINE); parseEngine is strict in the parseJobCount mold —
+/// Spelled `walk` / `vm` / `both` everywhere user-facing (--engine=);
+/// parseEngine is strict in the parseJobCount mold —
 /// anything else is diagnosed, never guessed.
 ///
 //===----------------------------------------------------------------------===//

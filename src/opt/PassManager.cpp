@@ -14,8 +14,8 @@
 #include "opt/LoopInvariantCodeMotion.h"
 #include "opt/Peephole.h"
 #include "opt/TailRecursionElimination.h"
+#include "support/CommandLine.h"
 #include "support/Stopwatch.h"
-#include "support/StringUtils.h"
 
 using namespace impact;
 
@@ -55,58 +55,22 @@ constexpr PassFlag Passes[] = {
 
 bool impact::parseOptPasses(std::string_view Spec, OptOptions &Out,
                             std::string *Error) {
-  auto SetAll = [&](bool Value) {
-    for (const PassFlag &P : Passes)
-      Out.*(P.Flag) = Value;
-  };
-
-  std::string_view Trimmed = trimString(Spec);
-  if (Trimmed.empty() || Trimmed == "all" || Trimmed == "1" ||
-      Trimmed == "on") {
-    SetAll(true);
-    return true;
-  }
-
-  // A spec that names passes positively starts from nothing enabled;
-  // "all,-x" style specs start from everything.
-  bool SawPositive = false;
-  for (std::string_view Token : splitString(Trimmed, ',')) {
-    std::string_view T = trimString(Token);
-    if (!T.empty() && T != "all" && T[0] != '-')
-      SawPositive = true;
-  }
-  SetAll(!SawPositive);
-
-  for (std::string_view Token : splitString(Trimmed, ',')) {
-    std::string_view T = trimString(Token);
-    if (T.empty())
-      continue;
-    if (T == "all") {
-      SetAll(true);
-      continue;
+  std::vector<std::string_view> Names;
+  for (const PassFlag &P : Passes)
+    Names.push_back(P.Name);
+  std::vector<bool> Selected;
+  std::string_view Unknown;
+  if (!cli::parseSelection(Spec, Names, Selected, Unknown)) {
+    if (Error) {
+      *Error = "unknown optimization pass '" + std::string(Unknown) +
+               "'; valid: all";
+      for (std::string_view Name : Names)
+        *Error += ", " + std::string(Name);
     }
-    bool Enable = true;
-    if (T[0] == '-') {
-      Enable = false;
-      T = T.substr(1);
-    }
-    bool Known = false;
-    for (const PassFlag &P : Passes)
-      if (T == P.Name) {
-        Out.*(P.Flag) = Enable;
-        Known = true;
-        break;
-      }
-    if (!Known) {
-      if (Error) {
-        *Error = "unknown optimization pass '" + std::string(T) +
-                 "'; valid: all";
-        for (const PassFlag &P : Passes)
-          *Error += std::string(", ") + P.Name;
-      }
-      return false;
-    }
+    return false;
   }
+  for (size_t I = 0; I != Names.size(); ++I)
+    Out.*(Passes[I].Flag) = Selected[I];
   return true;
 }
 

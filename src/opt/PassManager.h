@@ -55,13 +55,11 @@ struct OptOptions {
 /// the inverse presentation of parseOptPasses for footers and traces.
 std::string renderOptPasses(const OptOptions &Opts);
 
-/// Parses a pass-selection spec into \p Out, the grammar the analyzer's
-/// rule specs use: "all" (or empty/"1"/"on") enables everything; a
-/// comma-separated list of pass names ("fold", "jump", "copy", "dce",
-/// "tre", "peephole", "licm", "ranges") enables exactly those; "-name"
-/// disables one, and a spec of only negatives subtracts from everything
-/// ("all,-licm" == "-licm"). MaxIterations is untouched. Returns false
-/// and fills \p Error (when non-null) on an unknown name.
+/// Parses a pass-selection spec into \p Out (cli::parseSelection's
+/// grammar over "fold", "jump", "copy", "dce", "tre", "peephole", "licm",
+/// "ranges": "fold,licm" is exactly those, "all,-licm" all but one).
+/// MaxIterations is untouched. Returns false and fills \p Error (when
+/// non-null) on an unknown name, leaving \p Out untouched.
 bool parseOptPasses(std::string_view Spec, OptOptions &Out,
                     std::string *Error);
 

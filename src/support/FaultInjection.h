@@ -7,12 +7,11 @@
 /// \file
 /// Deterministic, site-keyed fault injection for the batch pipeline's
 /// failure-containment tests. A FaultPlan is a list of rules parsed from a
-/// spec string (the IMPACT_FAULTS environment variable or a bench's
-/// --faults= flag); each pipeline attempt opens a FaultSession that counts
-/// arrivals at named boundaries ("fault sites") and fires a rule exactly
-/// at its configured occurrence. Firing is a pure function of
-/// (unit, site, occurrence, attempt), so an injected failure reproduces
-/// bit-for-bit across thread counts and schedules.
+/// spec string (a bench's --faults= flag); each pipeline attempt opens a
+/// FaultSession that counts arrivals at named boundaries ("fault sites")
+/// and fires a rule exactly at its configured occurrence. Firing is a pure
+/// function of (unit, site, occurrence, attempt), so an injected failure
+/// reproduces bit-for-bit across thread counts and schedules.
 ///
 /// Spec grammar (comma-separated rules, whitespace around rules ignored):
 ///

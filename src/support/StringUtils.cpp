@@ -6,6 +6,7 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -67,6 +68,41 @@ std::string impact::padRight(std::string_view Text, unsigned Width) {
   if (Result.size() < Width)
     Result.append(Width - Result.size(), ' ');
   return Result;
+}
+
+namespace {
+
+/// Levenshtein distance, two-row formulation.
+size_t editDistance(std::string_view A, std::string_view B) {
+  std::vector<size_t> Prev(B.size() + 1), Cur(B.size() + 1);
+  for (size_t J = 0; J <= B.size(); ++J)
+    Prev[J] = J;
+  for (size_t I = 0; I != A.size(); ++I) {
+    Cur[0] = I + 1;
+    for (size_t J = 0; J != B.size(); ++J)
+      Cur[J + 1] = std::min({Prev[J + 1] + 1, Cur[J] + 1,
+                             Prev[J] + (A[I] == B[J] ? 0 : 1)});
+    std::swap(Prev, Cur);
+  }
+  return Prev[B.size()];
+}
+
+} // namespace
+
+std::string_view
+impact::findClosestMatch(std::string_view Word,
+                         const std::vector<std::string_view> &Candidates) {
+  std::string_view Best;
+  size_t BestDist = 0;
+  for (std::string_view C : Candidates) {
+    size_t D = editDistance(Word, C);
+    if (Best.empty() || D < BestDist) {
+      Best = C;
+      BestDist = D;
+    }
+  }
+  return BestDist <= std::max<size_t>(2, Word.size() / 3) ? Best
+                                                          : std::string_view();
 }
 
 std::string impact::jsonEscape(std::string_view Text) {

@@ -35,6 +35,12 @@ std::string padRight(std::string_view Text, unsigned Width);
 /// Formats an integer count with thousands separators ("12,345").
 std::string formatWithCommas(int64_t Value);
 
+/// The candidate nearest to \p Word in edit distance, or "" when none is
+/// within a typo's reach (max(2, |Word| / 3) edits) — the did-you-mean
+/// suggestion of the strict spec and flag parsers.
+std::string_view findClosestMatch(std::string_view Word,
+                                  const std::vector<std::string_view> &Candidates);
+
 /// Escapes \p Text for use inside a JSON string literal (quotes,
 /// backslashes, and control characters).
 std::string jsonEscape(std::string_view Text);

@@ -40,9 +40,8 @@
 
 namespace impact {
 
-/// Strictly parses a worker-count string (a `--jobs N` operand or the
-/// IMPACT_JOBS environment variable) into \p Out, clamped to
-/// [1, ThreadPool::getDefaultThreadCount()].
+/// Strictly parses a worker-count string (a `--jobs N` operand) into
+/// \p Out, clamped to [1, ThreadPool::getDefaultThreadCount()].
 ///
 /// Unlike a bare strtoul, this rejects empty input and trailing garbage
 /// ("4x", "2 4") outright — returning false with \p Out untouched — and

@@ -30,24 +30,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 using namespace impact;
 
 namespace {
-
-/// Seed count for the random corpus: IMPACT_FUZZ_SEEDS, floored at 64 so
-/// the tier never runs narrower than its contract.
-unsigned corpusSeedCount() {
-  const char *Env = std::getenv("IMPACT_FUZZ_SEEDS");
-  if (!Env || !*Env)
-    return 64;
-  char *End = nullptr;
-  unsigned long N = std::strtoul(Env, &End, 10);
-  if (!End || *End || N == 0)
-    return 64;
-  return N < 64 ? 64 : static_cast<unsigned>(N);
-}
 
 /// Walker vs VM on one run; the full ExecResult must be bit-identical.
 void expectRunsAgree(const Module &M, const VmProgram &P,
@@ -129,7 +115,7 @@ TEST(DifferentialSuite, SuiteExercisesSuperinstructions) {
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialCorpus, RandomProgramsRunIdentically) {
-  unsigned Seeds = corpusSeedCount();
+  unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/64);
   for (uint64_t Seed = 0; Seed != Seeds; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     std::string Source = test::generateRandomProgram(Seed);
@@ -149,7 +135,7 @@ TEST(DifferentialCorpus, RandomProgramsAgreeUnderTightLimits) {
   // Re-run a slice of the corpus with step limits that exhaust mid-run
   // and a stack that recursion-free programs still fit in; the truncated
   // results must match exactly (same InstrCount, same opcode histogram).
-  unsigned Seeds = corpusSeedCount() / 4;
+  unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/64) / 4;
   for (uint64_t Seed = 0; Seed != Seeds; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     std::string Source = test::generateRandomProgram(Seed);

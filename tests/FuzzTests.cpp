@@ -36,25 +36,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <string>
 
 using namespace impact;
 
 namespace {
-
-unsigned fuzzSeedCount() {
-  const char *Env = std::getenv("IMPACT_FUZZ_SEEDS");
-  if (!Env)
-    return 64;
-  unsigned Count = 0;
-  const char *Last = Env + std::string_view(Env).size();
-  auto [Ptr, Ec] = std::from_chars(Env, Last, Count);
-  if (Ec != std::errc() || Ptr != Last || Count == 0)
-    return 64;
-  return Count;
-}
 
 /// Compiles a (possibly corrupted) source and enforces the no-crash /
 /// no-hang / no-silent-acceptance contract. Returns true when it
@@ -92,7 +78,8 @@ bool checkFrontendContract(const std::string &Source,
 
 TEST(Fuzz, MutatedSourceNeverCrashesFrontend) {
   unsigned Accepted = 0, Rejected = 0;
-  for (unsigned Seed = 0; Seed != fuzzSeedCount(); ++Seed) {
+  const unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/1);
+  for (unsigned Seed = 0; Seed != Seeds; ++Seed) {
     std::string Source = test::generateRandomProgram(Seed);
     std::string Mutated = test::mutateProgramText(Source, Seed * 31 + 7);
     std::string Tag = "seed=" + std::to_string(Seed);
@@ -113,7 +100,8 @@ TEST(Fuzz, MutatedSourceNeverCrashesFrontend) {
 TEST(Fuzz, DoublyMutatedSourceNeverCrashesFrontend) {
   // A second, independent round of corruption reaches states a single
   // mutation batch cannot (e.g. re-breaking a still-valid neighborhood).
-  for (unsigned Seed = 0; Seed != fuzzSeedCount(); ++Seed) {
+  const unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/1);
+  for (unsigned Seed = 0; Seed != Seeds; ++Seed) {
     std::string Source = test::generateRandomProgram(Seed);
     std::string M1 = test::mutateProgramText(Source, Seed ^ 0x5bd1e995u);
     std::string M2 = test::mutateProgramText(M1, Seed * 2654435761u + 1);
@@ -124,7 +112,8 @@ TEST(Fuzz, DoublyMutatedSourceNeverCrashesFrontend) {
 }
 
 TEST(Fuzz, MutatedIlNeverCrashesReader) {
-  for (unsigned Seed = 0; Seed != fuzzSeedCount(); ++Seed) {
+  const unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/1);
+  for (unsigned Seed = 0; Seed != Seeds; ++Seed) {
     std::string Source = test::generateRandomProgram(Seed);
     CompilationResult C = compileMiniC(Source, "fuzz");
     ASSERT_TRUE(C.Ok) << "seed=" << Seed;
@@ -162,7 +151,8 @@ TEST(Fuzz, BatchAgreesWithSerialOnMutatedCorpus) {
   // The same mutated corpus through the full pipeline, serial vs 4 jobs:
   // per-unit success and failure classification must agree exactly, and
   // failures must be quarantined (the batch itself always completes).
-  unsigned Seeds = std::min(fuzzSeedCount(), 16u); // full pipeline is pricier
+  // The full pipeline is pricier: at most 16 seeds.
+  unsigned Seeds = std::min(test::getFuzzSeedCount(/*Floor=*/1), 16u);
   std::vector<BatchJob> Jobs;
   for (unsigned Seed = 0; Seed != Seeds; ++Seed) {
     BatchJob Job;

@@ -30,26 +30,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 using namespace impact;
 
 namespace {
-
-/// Seed count for the random corpus: IMPACT_FUZZ_SEEDS, floored at 64 so
-/// the tier never runs narrower than its contract.
-unsigned corpusSeedCount() {
-  const char *Env = std::getenv("IMPACT_FUZZ_SEEDS");
-  if (!Env || !*Env)
-    return 64;
-  char *End = nullptr;
-  unsigned long N = std::strtoul(Env, &End, 10);
-  if (!End || *End || N == 0)
-    return 64;
-  return N < 64 ? 64 : static_cast<unsigned>(N);
-}
 
 /// Profiles \p M under minimum coverage with \p Engine and checks every
 /// observable against the fully-instrumented walker result \p Oracle.
@@ -113,7 +99,7 @@ TEST(MinCoverSuite, TruncatedRunsStillInferExactly) {
 //===----------------------------------------------------------------------===//
 
 TEST(MinCoverCorpus, RandomProgramsInferExactly) {
-  unsigned Seeds = corpusSeedCount();
+  unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/64);
   std::vector<RunInput> Inputs;
   for (const char *In : {"", "a", "hello world", "0123456789abcdef"})
     Inputs.push_back({In, ""});
@@ -133,7 +119,7 @@ TEST(MinCoverCorpus, RandomProgramsInferExactly) {
 }
 
 TEST(MinCoverCorpus, RandomProgramsUnderTightLimits) {
-  unsigned Seeds = corpusSeedCount() / 4;
+  unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/64) / 4;
   std::vector<RunInput> Inputs{{"mincover", ""}};
   for (uint64_t Seed = 0; Seed != Seeds; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));

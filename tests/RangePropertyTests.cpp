@@ -35,24 +35,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 using namespace impact;
 
 namespace {
-
-/// Seed count for the random corpus: IMPACT_FUZZ_SEEDS, floored at 64 so
-/// the tier never runs narrower than its contract.
-unsigned corpusSeedCount() {
-  const char *Env = std::getenv("IMPACT_FUZZ_SEEDS");
-  if (!Env || !*Env)
-    return 64;
-  char *End = nullptr;
-  unsigned long N = std::strtoul(Env, &End, 10);
-  if (!End || *End || N == 0)
-    return 64;
-  return N < 64 ? 64 : static_cast<unsigned>(N);
-}
 
 /// All pipeline passes, driven by range facts.
 OptOptions rangedPasses() {
@@ -166,7 +152,7 @@ const char *const kCorpusInputs[] = {"", "a", "hello world",
                                      "0123456789abcdef"};
 
 TEST(RangeCorpus, FactsHoldDynamically) {
-  unsigned Seeds = corpusSeedCount();
+  unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/64);
   for (uint64_t Seed = 0; Seed != Seeds; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     Module M = test::compileOk(test::generateRandomProgram(Seed));
@@ -180,7 +166,7 @@ TEST(RangeCorpus, FactsHoldDynamically) {
 }
 
 TEST(RangeCorpus, FactsHoldAfterRangedInlineAndOptimize) {
-  unsigned Seeds = corpusSeedCount();
+  unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/64);
   for (uint64_t Seed = 0; Seed != Seeds; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     Module M = test::compileOk(test::generateRandomProgram(Seed));
@@ -242,7 +228,7 @@ TEST(RangeBatch, FindingsIdenticalAcrossThreadCountsAndErrorFree) {
 TEST(RangeCorpus, AnalyzerErrorFreeAndDeterministicOnRandomPrograms) {
   // guaranteed-trap is an error-severity rule; it must never fire on the
   // generator's legal programs, and re-analysis must be bit-identical.
-  unsigned Seeds = corpusSeedCount();
+  unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/64);
   AnalysisOptions Options; // defaults: every rule enabled
   for (uint64_t Seed = 0; Seed != Seeds; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));

@@ -6,9 +6,24 @@
 
 #include "TestUtil.h"
 
+#include "support/CommandLine.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+
 using namespace impact;
+
+unsigned test::getFuzzSeedCount(unsigned Floor) {
+  unsigned Count = 64;
+  const char *Env = std::getenv("IMPACT_FUZZ_SEEDS");
+  std::string Error;
+  if (Env && *Env && (!cli::parseNonNegative(Env, Count, Error) || Count == 0))
+    ADD_FAILURE() << "IMPACT_FUZZ_SEEDS must be a positive integer, got '"
+                  << Env << "'";
+  return std::max(Count, Floor);
+}
 
 Module test::compileOk(std::string_view Source, bool RequireMain) {
   CompilationResult C = compileMiniC(Source, "test", RequireMain);

@@ -37,6 +37,11 @@ ExecResult runOk(const Module &M, std::string Input = "",
 ProfileResult profileInputs(const Module &M,
                             const std::vector<std::string> &Inputs);
 
+/// Seed count of a randomized tier: IMPACT_FUZZ_SEEDS when set (it must be
+/// a positive integer, or the current test fails), else 64; never below
+/// the tier's \p Floor.
+unsigned getFuzzSeedCount(unsigned Floor);
+
 /// A tiny call-heavy program used across many tests: main loops N times
 /// (driven by the input length) calling helpers.
 extern const char *const kCallHeavyProgram;
