@@ -277,13 +277,14 @@ void checkDeadStores(const Function &F, const Cfg &G,
 /// segment. The engines make all three observable as traps, so an error
 /// here means the program cannot execute this instruction and survive.
 void checkGuaranteedTraps(const Function &F, const RangeAnalysis &RA,
-                          const ModuleRangeFacts &Facts,
+                          int64_t GlobalLo, int64_t GlobalHi,
                           AnalysisReport &Report) {
+  RangeAnalysis::Env E;
   for (size_t B = 0; B != F.Blocks.size(); ++B) {
     BlockId Id = static_cast<BlockId>(B);
     if (!RA.isReachable(Id))
       continue;
-    RangeAnalysis::Env E = RA.blockIn(Id);
+    E = RA.blockIn(Id);
     const BasicBlock &Block = F.Blocks[B];
     for (size_t Idx = 0; Idx != Block.Instrs.size(); ++Idx) {
       const Instr &I = Block.Instrs[Idx];
@@ -314,8 +315,8 @@ void checkGuaranteedTraps(const Function &F, const RangeAnalysis &RA,
       case Opcode::Load:
       case Opcode::Store: {
         Interval Addr = RangeAnalysis::get(E, I.Src1);
-        bool BelowGlobals = !Addr.isBottom() && Addr.Hi < Facts.GlobalLo;
-        bool InHole = !Addr.isBottom() && Addr.Lo >= Facts.GlobalHi &&
+        bool BelowGlobals = !Addr.isBottom() && Addr.Hi < GlobalLo;
+        bool InHole = !Addr.isBottom() && Addr.Lo >= GlobalHi &&
                       Addr.Hi < kStackBase;
         if (BelowGlobals || InHole)
           addFinding(Report, F.Name, Id, static_cast<int>(Idx),
@@ -361,13 +362,18 @@ void checkRangeContradictions(const Function &F, const Cfg &G,
 AnalysisReport impact::analyzeModule(const Module &M,
                                      const AnalysisOptions &Options) {
   AnalysisReport Report;
-  const bool NeedRanges = Options.GuaranteedTrap || Options.RangeContradiction;
-  ModuleRangeFacts Facts;
-  RangeContext RangeCtx;
-  if (NeedRanges) {
-    Facts = computeModuleRangeFacts(M);
-    RangeCtx.M = &M;
-    RangeCtx.Facts = &Facts;
+  if (Options.GuaranteedTrap || Options.RangeContradiction) {
+    // The range rules read the fact pass's own final per-function solves
+    // instead of solving every function again.
+    const int64_t GlobalLo = kGlobalBase;
+    const int64_t GlobalHi = kGlobalBase + M.getGlobalSegmentSize();
+    (void)computeModuleRangeFacts(
+        M, [&](const Function &F, const Cfg &G, const RangeAnalysis &RA) {
+          if (Options.GuaranteedTrap)
+            checkGuaranteedTraps(F, RA, GlobalLo, GlobalHi, Report);
+          if (Options.RangeContradiction)
+            checkRangeContradictions(F, G, RA, Report);
+        });
   }
   for (const Function &F : M.Funcs) {
     if (F.IsExternal || F.Eliminated || F.Blocks.empty())
@@ -382,13 +388,6 @@ AnalysisReport impact::analyzeModule(const Module &M,
     if (Options.DeadStore) {
       LivenessAnalysis Live = computeLiveness(F, G);
       checkDeadStores(F, G, Live, Report);
-    }
-    if (NeedRanges) {
-      RangeAnalysis RA(F, G, RangeCtx);
-      if (Options.GuaranteedTrap)
-        checkGuaranteedTraps(F, RA, Facts, Report);
-      if (Options.RangeContradiction)
-        checkRangeContradictions(F, G, RA, Report);
     }
   }
   Report.sortFindings();

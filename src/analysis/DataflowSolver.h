@@ -228,9 +228,13 @@ inline void solveDataflow(const Cfg &G, DataflowDirection Direction,
 ///
 /// Unlike solveDataflow above, blocks are reached optimistically: a block
 /// no feasible edge ever joins into keeps no state at all (its bit in the
-/// returned vector stays 0), which is how range analysis proves blocks
-/// dead through contradictory branch conditions. \p In receives the entry
-/// fact of every reached block.
+/// returned vector stays 0 and its entry in \p In stays a default, i.e.
+/// empty, State), which is how range analysis proves blocks dead through
+/// contradictory branch conditions. \p In receives the entry fact of
+/// every reached block. The block-exit and edge states are two scratch
+/// buffers reused by copy-assignment across every visit, so a State whose
+/// copy-assignment keeps its storage (std::vector) costs no allocation
+/// per visit.
 template <typename Domain>
 std::vector<char> solveForwardDataflow(const Cfg &G, Domain &D,
                                        std::vector<typename Domain::State> &In) {
@@ -247,24 +251,33 @@ std::vector<char> solveForwardDataflow(const Cfg &G, Domain &D,
   Worklist.push_back(0);
   Queued[0] = 1;
 
+  typename Domain::State Out, Scratch;
   while (!Worklist.empty()) {
     BlockId B = Worklist.back();
     Worklist.pop_back();
     Queued[static_cast<size_t>(B)] = 0;
 
-    typename Domain::State Out = In[static_cast<size_t>(B)];
+    Out = In[static_cast<size_t>(B)];
     D.transferBlock(B, Out);
-    for (BlockId S : G.getSuccessors(B)) {
-      typename Domain::State Edge = Out;
-      if (!D.refineEdge(B, S, Edge))
+    const std::vector<BlockId> &Succs = G.getSuccessors(B);
+    for (size_t K = 0; K != Succs.size(); ++K) {
+      BlockId S = Succs[K];
+      // The last edge refines the block-exit state itself: nothing reads
+      // it afterwards.
+      typename Domain::State *Edge = &Out;
+      if (K + 1 != Succs.size()) {
+        Scratch = Out;
+        Edge = &Scratch;
+      }
+      if (!D.refineEdge(B, S, *Edge))
         continue;
       bool Changed;
       if (!Reached[static_cast<size_t>(S)]) {
         Reached[static_cast<size_t>(S)] = 1;
-        In[static_cast<size_t>(S)] = std::move(Edge);
+        In[static_cast<size_t>(S)] = *Edge;
         Changed = true;
       } else {
-        Changed = D.joinInto(S, In[static_cast<size_t>(S)], Edge);
+        Changed = D.joinInto(S, In[static_cast<size_t>(S)], *Edge);
       }
       if (Changed && !Queued[static_cast<size_t>(S)]) {
         Queued[static_cast<size_t>(S)] = 1;

@@ -383,6 +383,8 @@ struct RangeDomain {
     bool Widen = JoinCounts[static_cast<size_t>(To)] >= Delay;
     size_t N = std::min(Dest.size(), Src.size());
     for (size_t I = 0; I != N; ++I) {
+      if (Src[I].Lo == Dest[I].Lo && Src[I].Hi == Dest[I].Hi)
+        continue; // X join X and X widen X are X
       Interval J = join(Dest[I], Src[I]);
       if (Widen)
         J = widen(Dest[I], J);
@@ -404,12 +406,12 @@ RangeAnalysis::RangeAnalysis(const Function &F, const Cfg &G,
     : F(F), G(G), Ctx(Ctx) {
   size_t N = G.getNumBlocks();
   Reached.assign(N, 0);
-  In.assign(N, Env(F.NumRegs, Interval::bottom()));
   IsHeader.assign(N, 0);
   if (N == 0)
     return;
 
   LoopInfo LI = computeLoopInfo(F);
+  HasLoops = !LI.Loops.empty();
   for (const Loop &L : LI.Loops)
     if (L.Header >= 0 && static_cast<size_t>(L.Header) < N)
       IsHeader[static_cast<size_t>(L.Header)] = 1;
@@ -421,8 +423,10 @@ RangeAnalysis::RangeAnalysis(const Function &F, const Cfg &G,
     const FunctionRangeSummary &S = Ctx.Facts->Funcs[static_cast<size_t>(F.Id)];
     if (S.Params.size() == F.NumParams)
       for (const Interval &P : S.Params)
-        if (P.isBottom())
+        if (P.isBottom()) {
+          In.resize(N);
           return;
+        }
   }
   solve();
 }
@@ -435,17 +439,20 @@ void RangeAnalysis::solve() {
   // without widening. The solved state is a post-fixpoint of the monotone
   // transfer system, so every recomputation stays above the least fixpoint
   // — each sweep only tightens. An edge (or a whole block) can be proven
-  // infeasible here that widening had kept alive.
+  // infeasible here that widening had kept alive; it loses its state
+  // like a block the solver never reached. NewIn and Out are scratch
+  // buffers reused across every block and predecessor.
+  Env NewIn, Out;
   for (int Sweep = 0; Sweep != 2; ++Sweep) {
     for (BlockId B : G.getReversePostOrder()) {
       if (B == 0 || !Reached[static_cast<size_t>(B)])
         continue;
-      Env NewIn(F.NumRegs, Interval::bottom());
+      NewIn.assign(F.NumRegs, Interval::bottom());
       bool AnyEdge = false;
       for (BlockId P : G.getPredecessors(B)) {
         if (!Reached[static_cast<size_t>(P)])
           continue;
-        Env Out = In[static_cast<size_t>(P)];
+        Out = In[static_cast<size_t>(P)];
         for (const Instr &I : F.Blocks[static_cast<size_t>(P)].Instrs)
           step(I, Out);
         if (!refineEdge(P, B, Out))
@@ -456,9 +463,9 @@ void RangeAnalysis::solve() {
       }
       if (!AnyEdge) {
         Reached[static_cast<size_t>(B)] = 0;
-        In[static_cast<size_t>(B)].assign(F.NumRegs, Interval::bottom());
+        In[static_cast<size_t>(B)].clear();
       } else {
-        In[static_cast<size_t>(B)] = std::move(NewIn);
+        In[static_cast<size_t>(B)].swap(NewIn);
       }
     }
   }
@@ -612,9 +619,11 @@ bool isDefined(const Function &F) {
 }
 
 /// One bottom-up evaluation of a function against the facts accumulated so
-/// far: return range, purity bits, and (optionally) per-site argument
-/// intervals. \p SameScc marks callees in the function's own SCC — a call
-/// to one makes Terminates false (recursion).
+/// far: return range and purity bits. \p ComponentIds marks callees in
+/// the function's own SCC — a call to one makes Terminates false
+/// (recursion). A \p Final evaluation runs against the function's final
+/// formals and callee summaries: it also records every call site's
+/// argument intervals and hands the solved function to \p Visit.
 struct BottomUpResult {
   Interval Ret = Interval::bottom();
   bool ReadsGlobals = false;
@@ -623,17 +632,26 @@ struct BottomUpResult {
   bool Terminates = true;
 };
 
+void recordSiteArgs(const Instr &I, const RangeAnalysis::Env &E,
+                    ModuleRangeFacts &Facts) {
+  if (I.SiteId == 0 || I.SiteId >= Facts.SiteArgs.size())
+    return;
+  std::vector<Interval> &Args = Facts.SiteArgs[I.SiteId];
+  Args.resize(I.Args.size());
+  for (size_t A = 0; A != I.Args.size(); ++A)
+    Args[A] = RangeAnalysis::get(E, I.Args[A]);
+  Facts.SiteHasFact[I.SiteId] = 1;
+}
+
 BottomUpResult evaluateFunction(const Function &F, const Module &M,
                                 ModuleRangeFacts &Facts,
                                 const std::vector<int> &ComponentIds,
-                                bool RecordSites) {
+                                bool Final, const RangeVisitor &Visit) {
   BottomUpResult R;
   Cfg G(F);
   RangeContext Ctx{&M, &Facts};
   RangeAnalysis Ranges(F, G, Ctx);
-
-  LoopInfo LI = computeLoopInfo(F);
-  if (!LI.Loops.empty())
+  if (Ranges.hasLoops())
     R.Terminates = false;
 
   int MyComponent =
@@ -641,10 +659,11 @@ BottomUpResult evaluateFunction(const Function &F, const Module &M,
           ? ComponentIds[static_cast<size_t>(F.Id)]
           : -1;
 
+  RangeAnalysis::Env E;
   for (size_t B = 0; B != F.Blocks.size(); ++B) {
     if (!Ranges.isReachable(static_cast<BlockId>(B)))
       continue;
-    RangeAnalysis::Env E = Ranges.blockIn(static_cast<BlockId>(B));
+    E = Ranges.blockIn(static_cast<BlockId>(B));
     for (const Instr &I : F.Blocks[B].Instrs) {
       switch (I.Op) {
       case Opcode::Load:
@@ -700,33 +719,18 @@ BottomUpResult evaluateFunction(const Function &F, const Module &M,
             static_cast<size_t>(I.Callee) < ComponentIds.size() &&
             ComponentIds[static_cast<size_t>(I.Callee)] == MyComponent)
           R.Terminates = false; // recursion (possibly mutual)
-        if (RecordSites && I.SiteId != 0 &&
-            I.SiteId < Facts.SiteArgs.size()) {
-          std::vector<Interval> Args;
-          Args.reserve(I.Args.size());
-          for (Reg A : I.Args)
-            Args.push_back(RangeAnalysis::get(E, A));
-          Facts.SiteArgs[I.SiteId] = std::move(Args);
-          Facts.SiteHasFact[I.SiteId] = 1;
-        }
+        if (Final)
+          recordSiteArgs(I, E, Facts);
         break;
       }
-      case Opcode::CallPtr: {
+      case Opcode::CallPtr:
         R.ReadsGlobals = true;
         R.WritesGlobals = true;
         R.MayTrap = true;
         R.Terminates = false;
-        if (RecordSites && I.SiteId != 0 &&
-            I.SiteId < Facts.SiteArgs.size()) {
-          std::vector<Interval> Args;
-          Args.reserve(I.Args.size());
-          for (Reg A : I.Args)
-            Args.push_back(RangeAnalysis::get(E, A));
-          Facts.SiteArgs[I.SiteId] = std::move(Args);
-          Facts.SiteHasFact[I.SiteId] = 1;
-        }
+        if (Final)
+          recordSiteArgs(I, E, Facts);
         break;
-      }
       case Opcode::Ret: {
         Interval V = I.Src1 == kNoReg ? Interval::constant(0)
                                       : RangeAnalysis::get(E, I.Src1);
@@ -739,17 +743,26 @@ BottomUpResult evaluateFunction(const Function &F, const Module &M,
       Ranges.step(I, E);
     }
   }
+  if (Final && Visit)
+    Visit(F, G, Ranges);
   return R;
 }
 
-/// Iterates one SCC's members to a fixpoint of the bottom-up equations,
-/// starting from the optimistic initial state (Ret bottom, all-pure).
-/// Purity bits only move one way and Ret is widened against its previous
-/// round, so convergence is fast; a generous round cap backstops it, after
-/// which everything collapses to the conservative answer.
-void solveComponent(const std::vector<int> &Members, const Module &M,
-                    ModuleRangeFacts &Facts,
-                    const std::vector<int> &ComponentIds) {
+/// Solves one SCC's summaries from the optimistic initial state (Ret
+/// bottom, all-pure). A non-recursive component — one member that does
+/// not call itself — takes one round: the evaluation reads no summary of
+/// its own component, so a second round would repeat the first exactly.
+/// A recursive component iterates to a fixpoint of the bottom-up
+/// equations. Purity bits only move one way and Ret is widened against
+/// its previous round, so convergence is fast; a generous round cap
+/// backstops it, after which everything collapses to the conservative
+/// answer. In the \p Final phase each member's last evaluation is the
+/// final one (see evaluateFunction): the single round of a non-recursive
+/// function, one more evaluation per member of a recursive component.
+void solveComponent(const std::vector<int> &Members, bool Recursive,
+                    const Module &M, ModuleRangeFacts &Facts,
+                    const std::vector<int> &ComponentIds, bool Final,
+                    const RangeVisitor &Visit) {
   for (int FI : Members) {
     FunctionRangeSummary &S = Facts.Funcs[static_cast<size_t>(FI)];
     S.Ret = Interval::bottom();
@@ -759,12 +772,13 @@ void solveComponent(const std::vector<int> &Members, const Module &M,
     S.Terminates = true;
   }
   const int MaxRounds = 8;
-  for (int Round = 0; Round != MaxRounds; ++Round) {
+  bool Converged = false;
+  for (int Round = 0; Round != MaxRounds && !Converged; ++Round) {
     bool Changed = false;
     for (int FI : Members) {
       const Function &F = M.Funcs[static_cast<size_t>(FI)];
-      BottomUpResult R =
-          evaluateFunction(F, M, Facts, ComponentIds, /*RecordSites=*/false);
+      BottomUpResult R = evaluateFunction(F, M, Facts, ComponentIds,
+                                          Final && !Recursive, Visit);
       FunctionRangeSummary &S = Facts.Funcs[static_cast<size_t>(FI)];
       Interval NewRet = Round >= 2 ? widen(S.Ret, join(S.Ret, R.Ret))
                                    : join(S.Ret, R.Ret);
@@ -779,23 +793,29 @@ void solveComponent(const std::vector<int> &Members, const Module &M,
         Changed = true;
       }
     }
-    if (!Changed)
-      return;
+    Converged = !Changed || !Recursive;
   }
-  // Round cap hit (pathological mutual recursion): go conservative.
-  for (int FI : Members) {
-    FunctionRangeSummary &S = Facts.Funcs[static_cast<size_t>(FI)];
-    S.Ret = Interval::top();
-    S.ReadsGlobals = true;
-    S.WritesGlobals = true;
-    S.MayTrap = true;
-    S.Terminates = false;
+  if (!Converged) {
+    // Round cap hit (pathological mutual recursion): go conservative.
+    for (int FI : Members) {
+      FunctionRangeSummary &S = Facts.Funcs[static_cast<size_t>(FI)];
+      S.Ret = Interval::top();
+      S.ReadsGlobals = true;
+      S.WritesGlobals = true;
+      S.MayTrap = true;
+      S.Terminates = false;
+    }
   }
+  if (Final && Recursive)
+    for (int FI : Members)
+      (void)evaluateFunction(M.Funcs[static_cast<size_t>(FI)], M, Facts,
+                             ComponentIds, /*Final=*/true, Visit);
 }
 
 } // namespace
 
-ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M) {
+ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M,
+                                                 const RangeVisitor &Visit) {
   ModuleRangeFacts Facts;
   size_t N = M.Funcs.size();
   Facts.Funcs.resize(N);
@@ -805,6 +825,7 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M) {
   Facts.SiteHasFact.assign(M.NextSiteId, 0);
 
   std::vector<std::vector<int>> Succ(N);
+  std::vector<char> CallsItself(N, 0);
   for (size_t FI = 0; FI != N; ++FI) {
     const Function &F = M.Funcs[FI];
     if (!isDefined(F))
@@ -815,8 +836,11 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M) {
         if (I.Op == Opcode::CallPtr)
           Facts.HasCallPtr = true;
         if (I.Op == Opcode::Call && I.Callee >= 0 &&
-            static_cast<size_t>(I.Callee) < N)
+            static_cast<size_t>(I.Callee) < N) {
           Succ[FI].push_back(I.Callee);
+          if (static_cast<size_t>(I.Callee) == FI)
+            CallsItself[FI] = 1;
+        }
       }
   }
 
@@ -827,13 +851,17 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M) {
     if (isDefined(M.Funcs[FI]))
       Members[static_cast<size_t>(Scc.ComponentIds[FI])].push_back(
           static_cast<int>(FI));
+  auto IsRecursive = [&](const std::vector<int> &C) {
+    return C.size() > 1 || CallsItself[static_cast<size_t>(C.front())];
+  };
 
   // Phase A: bottom-up return + purity with formals at top. Component ids
   // come out of Tarjan in reverse topological order of the condensation,
   // so ascending id order visits callees before callers.
   for (const std::vector<int> &C : Members)
     if (!C.empty())
-      solveComponent(C, M, Facts, Scc.ComponentIds);
+      solveComponent(C, IsRecursive(C), M, Facts, Scc.ComponentIds,
+                     /*Final=*/false, Visit);
 
   // Phase B: top-down formal propagation from main over direct sites. A
   // single CallPtr anywhere defeats it: a forged pointer can enter any
@@ -855,6 +883,7 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M) {
 
     std::vector<FuncId> Work;
     std::vector<char> Queued(N, 0);
+    RangeAnalysis::Env E;
     // Reached is distinct from "formals changed": a zero-parameter callee
     // (or one whose joined args are already subsumed) never changes its
     // formal vector, but it must still be analyzed once so the calls in
@@ -881,7 +910,7 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M) {
       for (size_t B = 0; B != F.Blocks.size(); ++B) {
         if (!Ranges.isReachable(static_cast<BlockId>(B)))
           continue;
-        RangeAnalysis::Env E = Ranges.blockIn(static_cast<BlockId>(B));
+        E = Ranges.blockIn(static_cast<BlockId>(B));
         for (const Instr &I : F.Blocks[B].Instrs) {
           if (I.Op == Opcode::Call && I.Callee >= 0 &&
               static_cast<size_t>(I.Callee) < N &&
@@ -918,15 +947,12 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M) {
   }
 
   // Phase C: final bottom-up pass with the formals in place — returns and
-  // purity tighten, and per-site argument facts are recorded against the
-  // final state.
+  // purity tighten, and each function's final evaluation records its
+  // per-site argument facts and goes to the visitor.
   for (const std::vector<int> &C : Members)
     if (!C.empty())
-      solveComponent(C, M, Facts, Scc.ComponentIds);
-  for (size_t FI = 0; FI != N; ++FI)
-    if (Facts.Funcs[FI].HasSummary)
-      (void)evaluateFunction(M.Funcs[FI], M, Facts, Scc.ComponentIds,
-                             /*RecordSites=*/true);
+      solveComponent(C, IsRecursive(C), M, Facts, Scc.ComponentIds,
+                     /*Final=*/true, Visit);
 
   return Facts;
 }

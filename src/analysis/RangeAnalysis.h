@@ -27,6 +27,12 @@
 ///      forged function pointer can enter anything with anything);
 ///   C. a final bottom-up pass that recomputes returns, purity, and
 ///      per-call-site argument ranges with the phase-B formals in place.
+/// A non-recursive function (a one-member SCC that does not call itself)
+/// is evaluated once per bottom-up phase: its evaluation reads no summary
+/// of its own component, so a second round would repeat the first. Its
+/// phase-C evaluation is final and records its call-site facts; recursive
+/// components iterate to a fixpoint and then get one recording
+/// evaluation each.
 ///
 /// Every emitted fact is a first-class artifact: RangeFactChecker hooks
 /// into both execution engines (interp/Interpreter.cpp and vm/Vm.cpp via
@@ -44,6 +50,7 @@
 #include "ir/Ir.h"
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -172,8 +179,20 @@ struct ModuleRangeFacts {
   int64_t GlobalHi = 0;
 };
 
-/// Computes the full interprocedural fact set for \p M (phases A/B/C above).
-ModuleRangeFacts computeModuleRangeFacts(const Module &M);
+class RangeAnalysis;
+
+/// Receives each defined function's final per-function analysis: the one
+/// phase C builds with the final formals and callee summaries in place,
+/// identical to a RangeAnalysis constructed afterwards against the
+/// returned facts. Called once per defined function, callees before
+/// callers; the references are valid only during the call.
+using RangeVisitor =
+    std::function<void(const Function &, const Cfg &, const RangeAnalysis &)>;
+
+/// Computes the full interprocedural fact set for \p M (phases A/B/C
+/// above), handing each defined function's final analysis to \p Visit.
+ModuleRangeFacts computeModuleRangeFacts(const Module &M,
+                                         const RangeVisitor &Visit = {});
 
 /// What a range-consuming pass gets to see. Both pointers may be null: a
 /// null Facts runs the per-function analysis purely intraprocedurally
@@ -206,8 +225,14 @@ public:
            Reached[static_cast<size_t>(B)];
   }
 
-  /// Register state on entry to \p B (bottom-filled when unreachable).
+  /// Register state on entry to \p B: one interval per register when
+  /// isReachable(B), empty otherwise — whether the solver never reached
+  /// the block or narrowing later proved it dead. Check isReachable first.
   const Env &blockIn(BlockId B) const { return In[static_cast<size_t>(B)]; }
+
+  /// True when the function has a natural loop (the loop headers the
+  /// solver widens at come from the same LoopInfo).
+  bool hasLoops() const { return HasLoops; }
 
   /// Interval a register holds in \p E (top for out-of-range registers,
   /// e.g. ones allocated by a rewriting pass after this analysis ran).
@@ -241,6 +266,7 @@ private:
   std::vector<Env> In;
   std::vector<char> Reached;
   std::vector<char> IsHeader;
+  bool HasLoops = false;
 };
 
 //===----------------------------------------------------------------------===//
