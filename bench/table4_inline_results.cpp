@@ -176,75 +176,6 @@ int main(int argc, char **argv) {
                   formatPercent(BestDec).c_str());
   }
 
-  // Range ablation: the interprocedural range/purity analysis
-  // (analysis/RangeAnalysis.h) feeds peephole (nonneg strength
-  // reduction) and licm (hoisting proven-nonzero divisions, in-bounds
-  // loads, and pure calls). The inline arm is where the formal-argument
-  // summaries bite: expansion turns interprocedural facts into
-  // intraprocedural ones.
-  std::printf("\nAblation: interprocedural range analysis (base = "
-              "quartet+peephole+licm)\n\n");
-  TableWriter R({"ranges", "inline", "static IL", "dyn IL/run",
-                 "dyn CT/run"});
-  std::vector<std::string> RangeNames;
-  std::vector<double> RangesOffDynIl, RangesOnDynIl;
-  for (bool Ranges : {false, true}) {
-    OptOptions Passes;
-    Passes.Peephole = true;
-    Passes.LoopInvariantCodeMotion = true;
-    Passes.Ranges = Ranges;
-    for (bool Inline : {false, true}) {
-      PipelineOptions Options = baseOptions();
-      Options.PreOpt = Passes;
-      if (Inline) {
-        Options.Inline.PostInlineOptimize = true;
-        Options.Inline.PostOpt = Passes;
-      } else {
-        Options.Inline.MinArcWeight = 1e18;
-      }
-      std::vector<SuiteRun> Ablation =
-          runSuiteExperiment(Options, /*RunsOverride=*/4);
-      uint64_t StaticIl = 0;
-      std::vector<double> DynIl, DynCt;
-      for (const SuiteRun &Run : Ablation) {
-        if (!Run.Result.Ok)
-          continue;
-        StaticIl += Run.Result.After.StaticSize;
-        DynIl.push_back(Run.Result.After.AvgInstrs);
-        DynCt.push_back(Run.Result.After.AvgControlTransfers);
-        if (Inline && !Ranges) {
-          RangesOffDynIl.push_back(Run.Result.After.AvgInstrs);
-          RangeNames.push_back(Run.Name);
-        }
-        if (Inline && Ranges)
-          RangesOnDynIl.push_back(Run.Result.After.AvgInstrs);
-      }
-      R.addRow({Ranges ? "on" : "off", Inline ? "yes" : "no",
-                std::to_string(StaticIl), formatCount(mean(DynIl)),
-                formatCount(mean(DynCt))});
-    }
-  }
-  std::printf("%s\n", R.render().c_str());
-  if (RangesOffDynIl.size() == RangesOnDynIl.size()) {
-    size_t Improved = 0;
-    for (size_t I = 0; I != RangesOffDynIl.size(); ++I) {
-      if (RangesOffDynIl[I] <= 0.0)
-        continue;
-      double Dec = 100.0 *
-                   (RangesOffDynIl[I] - RangesOnDynIl[I]) /
-                   RangesOffDynIl[I];
-      if (Dec > 0.0) {
-        ++Improved;
-        std::printf("  %-10s post-inline dyn IL %s -> %s (-%s)\n",
-                    RangeNames[I].c_str(),
-                    formatCount(RangesOffDynIl[I]).c_str(),
-                    formatCount(RangesOnDynIl[I]).c_str(),
-                    formatPercent(Dec).c_str());
-      }
-    }
-    std::printf("programs improved post-inline by range analysis: %zu/%zu\n",
-                Improved, RangesOffDynIl.size());
-  }
   std::printf("%s", renderBenchFooter().c_str());
   return 0;
 }

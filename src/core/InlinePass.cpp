@@ -6,7 +6,6 @@
 
 #include "core/InlinePass.h"
 
-#include "analysis/RangeAnalysis.h"
 #include "callgraph/CallGraphBuilder.h"
 #include "core/DeadFunctionElimination.h"
 #include "opt/PassManager.h"
@@ -30,18 +29,6 @@ InlineResult impact::runInlineExpansion(Module &M, const ProfileData &Profile,
   if (Options.PostInlineOptimize) {
     // Clean up the parameter moves and jump scaffolding of every function
     // that received inlined bodies (the paper leaves this off; ablation).
-    // Interprocedural range facts are computed once on the expanded
-    // module; every transform they license is semantics-preserving, so
-    // they stay sound across the per-caller cleanups.
-    ModuleRangeFacts Facts;
-    RangeContext Ctx;
-    const RangeContext *RC = nullptr;
-    if (Options.PostOpt.Ranges) {
-      Facts = computeModuleRangeFacts(M);
-      Ctx.M = &M;
-      Ctx.Facts = &Facts;
-      RC = &Ctx;
-    }
     // A caller that received several bodies is cleaned once, in order of
     // its first expansion.
     std::vector<char> Cleaned(M.Funcs.size(), 0);
@@ -50,7 +37,7 @@ InlineResult impact::runInlineExpansion(Module &M, const ProfileData &Profile,
         continue;
       Cleaned[static_cast<size_t>(R.Caller)] = 1;
       runOptimizationPipeline(M.getFunction(R.Caller), Options.PostOpt,
-                              nullptr, RC);
+                              nullptr);
     }
   }
 

@@ -32,7 +32,6 @@ std::string FunctionDefinitionCache::makeKey(const Function &F,
   Key += static_cast<char>('0' + Opts.TailRecursionElimination);
   Key += static_cast<char>('0' + Opts.Peephole);
   Key += static_cast<char>('0' + Opts.LoopInvariantCodeMotion);
-  Key += static_cast<char>('0' + Opts.Ranges);
   Key += 'i';
   Key += std::to_string(Opts.MaxIterations);
   // Signature and body, rendered exactly (printInstr includes register

@@ -9,10 +9,6 @@
 #include "analysis/Cfg.h"
 #include "analysis/Dataflow.h"
 #include "analysis/LoopInfo.h"
-#include "analysis/RangeAnalysis.h"
-
-#include <algorithm>
-#include <optional>
 
 using namespace impact;
 
@@ -31,15 +27,12 @@ void retargetTerminator(Instr &Term, BlockId From, BlockId To) {
 /// Hoists from the first loop that admits any motion; returns true when a
 /// change was made (analyses are stale afterwards — the caller recomputes
 /// and calls again).
-bool hoistOneRound(Function &F, const RangeContext *Ranges) {
+bool hoistOneRound(Function &F) {
   LoopInfo Info = computeLoopInfo(F);
   if (Info.Loops.empty())
     return false;
   Cfg G(F);
   LivenessAnalysis Live = computeLiveness(F, G);
-  std::optional<RangeAnalysis> RA;
-  if (Ranges)
-    RA.emplace(F, G, *Ranges);
 
   for (const Loop &L : Info.Loops) {
     if (!L.Reducible || !G.isReachable(L.Header))
@@ -62,25 +55,6 @@ bool hoistOneRound(Function &F, const RangeContext *Ranges) {
              DefCount[static_cast<size_t>(R)] == 0;
     };
 
-    // Interval facts license three extra hoist classes. An invariant
-    // operand holds the same value throughout the loop and in the
-    // preheader (its preheader value flows into the header join), so a
-    // proof at the header's entry state covers the hoisted execution.
-    const bool RangeOk = RA && RA->isReachable(L.Header);
-    RangeAnalysis::Env HIn;
-    if (RangeOk)
-      HIn = RA->blockIn(L.Header);
-    const ModuleRangeFacts *MF = Ranges ? Ranges->Facts : nullptr;
-    // The load rule needs the loop body free of stores and calls, so the
-    // loaded word cannot change across iterations.
-    bool LoopWritesOrCalls = false;
-    if (RangeOk)
-      for (BlockId B : L.Blocks)
-        for (const Instr &I : F.Blocks[static_cast<size_t>(B)].Instrs)
-          if (I.Op == Opcode::Store || I.Op == Opcode::Call ||
-              I.Op == Opcode::CallPtr)
-            LoopWritesOrCalls = true;
-
     // Select candidates in program order (block asc, instr asc): an
     // instruction whose operand is defined by a not-yet-hoisted candidate
     // simply waits for the next round, which keeps preheader order
@@ -90,73 +64,17 @@ bool hoistOneRound(Function &F, const RangeContext *Ranges) {
       BasicBlock &Blk = F.Blocks[static_cast<size_t>(B)];
       std::vector<Instr> Kept;
       Kept.reserve(Blk.Instrs.size());
-      // For the call rule: whether everything so far in the header block
-      // is pure and trap-free, so entering the header guarantees the call
-      // would have executed (the preheader's one execution replaces a
-      // guaranteed first-iteration execution).
-      bool HeaderPrefixPure = B == L.Header;
       for (const Instr &I : Blk.Instrs) {
         Reg D = I.Dst;
-        bool BaseOk = !I.isTerminator() && D != kNoReg &&
-                      static_cast<uint32_t>(D) < F.NumRegs &&
-                      DefCount[static_cast<size_t>(D)] == 1 &&
-                      !HeaderLiveIn.test(static_cast<size_t>(D));
         // Pure opcodes are safe to execute speculatively in a preheader
         // even when the loop would run zero iterations. Div/Rem can trap,
-        // Load can observe memory the loop stores to, calls do anything:
-        // those need the range-licensed rules below.
-        bool Hoist = BaseOk && isPure(I.Op) &&
-                     IsInvariantOperand(I.Src1) &&
+        // Load can observe memory the loop stores to, calls do anything.
+        bool Hoist = !I.isTerminator() && D != kNoReg &&
+                     static_cast<uint32_t>(D) < F.NumRegs &&
+                     DefCount[static_cast<size_t>(D)] == 1 &&
+                     !HeaderLiveIn.test(static_cast<size_t>(D)) &&
+                     isPure(I.Op) && IsInvariantOperand(I.Src1) &&
                      IsInvariantOperand(I.Src2);
-        // Range-licensed classes: only from blocks range analysis itself
-        // reaches — hoisting from a range-unreachable block would execute
-        // work the reachable-only purity summaries never counted.
-        if (!Hoist && BaseOk && RangeOk && RA->isReachable(B)) {
-          switch (I.Op) {
-          case Opcode::Div:
-          case Opcode::Rem: {
-            // Proven-safe division: divisor excludes zero (and no
-            // INT64_MIN / -1) at the header entry state.
-            Interval Dividend = RangeAnalysis::get(HIn, I.Src1);
-            Interval Divisor = RangeAnalysis::get(HIn, I.Src2);
-            Hoist = IsInvariantOperand(I.Src1) &&
-                    IsInvariantOperand(I.Src2) && !Dividend.isBottom() &&
-                    !Divisor.isBottom() && !divMayTrap(Dividend, Divisor);
-            break;
-          }
-          case Opcode::Load: {
-            // Proven in-bounds global load from a body that cannot change
-            // the loaded word: never traps, and yields the same value on
-            // every iteration.
-            if (!MF || LoopWritesOrCalls || !IsInvariantOperand(I.Src1))
-              break;
-            Interval Addr = RangeAnalysis::get(HIn, I.Src1);
-            Hoist = !Addr.isBottom() && Addr.Lo >= MF->GlobalLo &&
-                    Addr.Hi < MF->GlobalHi;
-            break;
-          }
-          case Opcode::Call: {
-            // A provably pure, trap-free, terminating direct callee whose
-            // header-block call is guaranteed to execute each iteration:
-            // one preheader execution replaces them all.
-            if (!MF || !HeaderPrefixPure || I.Callee == kNoFunc ||
-                static_cast<size_t>(I.Callee) >= MF->Funcs.size())
-              break;
-            const FunctionRangeSummary &CS =
-                MF->Funcs[static_cast<size_t>(I.Callee)];
-            if (!CS.HasSummary || CS.ReadsGlobals || CS.WritesGlobals ||
-                CS.MayTrap || !CS.Terminates)
-              break;
-            Hoist = true;
-            for (Reg A : I.Args)
-              Hoist &= IsInvariantOperand(A);
-            break;
-          }
-          default:
-            break;
-          }
-        }
-        HeaderPrefixPure &= isPure(I.Op);
         if (Hoist) {
           Hoisted.push_back(I);
           DefCount[static_cast<size_t>(D)] = 0;
@@ -225,15 +143,14 @@ bool hoistOneRound(Function &F, const RangeContext *Ranges) {
 
 } // namespace
 
-bool impact::runLoopInvariantCodeMotion(Function &F,
-                                        const RangeContext *Ranges) {
+bool impact::runLoopInvariantCodeMotion(Function &F) {
   if (F.Blocks.empty())
     return false;
   bool Changed = false;
   // Each round strictly lowers the total nesting depth of the remaining
   // instructions, so this converges; analyses are rebuilt per round
   // because hoisting moves blocks and edges.
-  while (hoistOneRound(F, Ranges))
+  while (hoistOneRound(F))
     Changed = true;
   return Changed;
 }
@@ -242,6 +159,6 @@ bool impact::runLoopInvariantCodeMotion(Module &M) {
   bool Changed = false;
   for (Function &F : M.Funcs)
     if (!F.IsExternal)
-      Changed |= runLoopInvariantCodeMotion(F, nullptr);
+      Changed |= runLoopInvariantCodeMotion(F);
   return Changed;
 }

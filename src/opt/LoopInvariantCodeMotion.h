@@ -11,8 +11,6 @@
 
 namespace impact {
 
-struct RangeContext;
-
 /// Loop-invariant code motion over the shared loop nest
 /// (analysis/LoopInfo.h) and liveness (analysis/Dataflow.h). An
 /// instruction hoists from a reducible loop into its preheader when
@@ -34,21 +32,7 @@ struct RangeContext;
 /// block). This is the post-inline cleanup the paper's thesis leans on:
 /// inline expansion plants callee setup code inside caller loops, and
 /// this pass lifts it back out. Returns true on change.
-///
-/// With a non-null \p Ranges, interval facts (analysis/RangeAnalysis.h)
-/// admit three classes the opcode test above refuses, each licensed by a
-/// proof at the loop header's entry state (invariant operands hold the
-/// same value there and in the preheader):
-///  - div/rem whose divisor provably excludes zero (and the INT64_MIN/-1
-///    overflow is ruled out),
-///  - loads from a proven in-bounds global address when the loop body has
-///    no stores or calls,
-///  - direct calls in the header behind a pure prefix whose callee
-///    summary proves no reads, no writes, no traps, and termination.
-bool runLoopInvariantCodeMotion(Function &F, const RangeContext *Ranges);
-inline bool runLoopInvariantCodeMotion(Function &F) {
-  return runLoopInvariantCodeMotion(F, nullptr);
-}
+bool runLoopInvariantCodeMotion(Function &F);
 
 /// Runs LICM over every non-external function.
 bool runLoopInvariantCodeMotion(Module &M);

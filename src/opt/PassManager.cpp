@@ -6,7 +6,6 @@
 
 #include "opt/PassManager.h"
 
-#include "analysis/RangeAnalysis.h"
 #include "opt/ConstantFolding.h"
 #include "opt/CopyPropagation.h"
 #include "opt/DeadCodeElimination.h"
@@ -48,7 +47,6 @@ constexpr PassFlag Passes[] = {
     {"tre", &OptOptions::TailRecursionElimination},
     {"peephole", &OptOptions::Peephole},
     {"licm", &OptOptions::LoopInvariantCodeMotion},
-    {"ranges", &OptOptions::Ranges},
 };
 
 } // namespace
@@ -86,18 +84,10 @@ std::string impact::renderOptPasses(const OptOptions &Opts) {
 }
 
 bool impact::runOptimizationPipeline(Function &F, const OptOptions &Opts,
-                                     OptStats *Stats,
-                                     const RangeContext *Ranges) {
+                                     OptStats *Stats) {
   Stopwatch Total;
   if (Stats)
     Stats->FunctionsVisited += 1;
-  // Range facts reach the two range-aware passes only when the knob is
-  // on. Per-function callers (the cache-keyed pre-opt path) get a purely
-  // intraprocedural context — the only facts that stay sound for a body
-  // cached independently of the rest of the module.
-  RangeContext IntraCtx;
-  const RangeContext *RC =
-      Opts.Ranges ? (Ranges ? Ranges : &IntraCtx) : nullptr;
   bool EverChanged = false;
   for (unsigned Iter = 0; Iter != Opts.MaxIterations; ++Iter) {
     if (Stats) {
@@ -121,15 +111,15 @@ bool impact::runOptimizationPipeline(Function &F, const OptOptions &Opts,
                           [](Function &G) { return runConstantFolding(G); });
     if (Opts.Peephole)
       Changed |= runTimed(Stats ? &Stats->Peephole : nullptr, F,
-                          [RC](Function &G) { return runPeephole(G, RC); });
+                          [](Function &G) { return runPeephole(G); });
     if (Opts.JumpOptimization)
       Changed |= runTimed(Stats ? &Stats->JumpOptimization : nullptr, F,
                           [](Function &G) { return runJumpOptimization(G); });
     if (Opts.LoopInvariantCodeMotion)
       Changed |= runTimed(Stats ? &Stats->LoopInvariantCodeMotion : nullptr,
                           F,
-                          [RC](Function &G) {
-                            return runLoopInvariantCodeMotion(G, RC);
+                          [](Function &G) {
+                            return runLoopInvariantCodeMotion(G);
                           });
     if (Opts.DeadCodeElimination)
       Changed |= runTimed(Stats ? &Stats->DeadCodeElimination : nullptr, F,
@@ -145,22 +135,9 @@ bool impact::runOptimizationPipeline(Function &F, const OptOptions &Opts,
 
 bool impact::runOptimizationPipeline(Module &M, const OptOptions &Opts,
                                      OptStats *Stats) {
-  // A whole-module pipeline can afford the interprocedural summaries:
-  // they are computed once up front, and every transform they license is
-  // semantics-preserving, so facts stay sound across the passes that
-  // consume them within this run.
-  ModuleRangeFacts Facts;
-  RangeContext Ctx;
-  const RangeContext *RC = nullptr;
-  if (Opts.Ranges) {
-    Facts = computeModuleRangeFacts(M);
-    Ctx.M = &M;
-    Ctx.Facts = &Facts;
-    RC = &Ctx;
-  }
   bool Changed = false;
   for (Function &F : M.Funcs)
     if (!F.IsExternal)
-      Changed |= runOptimizationPipeline(F, Opts, Stats, RC);
+      Changed |= runOptimizationPipeline(F, Opts, Stats);
   return Changed;
 }

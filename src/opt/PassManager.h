@@ -37,16 +37,10 @@ struct OptOptions {
   /// them on.
   bool Peephole = false;
   bool LoopInvariantCodeMotion = false;
-  /// Feed interval range facts (analysis/RangeAnalysis.h) to peephole
-  /// and LICM: range-constant operands, proven-safe strength reduction,
-  /// and hoisting of proven-nonzero divisions / in-bounds loads / pure
-  /// calls. Per-function pipelines analyze intraprocedurally;
-  /// module-level pipelines add the interprocedural summaries.
-  bool Ranges = false;
   unsigned MaxIterations = 4;
 
-  /// Exact equality — the bench harness uses it to apply --passes= only
-  /// to jobs still at the default pass set.
+  /// Exact equality — the bench footer uses it to print the [passes]
+  /// line only when --passes= moved the base pipeline off the default.
   friend bool operator==(const OptOptions &, const OptOptions &) = default;
 };
 
@@ -56,8 +50,8 @@ struct OptOptions {
 std::string renderOptPasses(const OptOptions &Opts);
 
 /// Parses a pass-selection spec into \p Out (cli::parseSelection's
-/// grammar over "fold", "jump", "copy", "dce", "tre", "peephole", "licm",
-/// "ranges": "fold,licm" is exactly those, "all,-licm" all but one).
+/// grammar over "fold", "jump", "copy", "dce", "tre", "peephole", "licm":
+/// "fold,licm" is exactly those, "all,-licm" all but one).
 /// MaxIterations is untouched. Returns false and fills \p Error (when
 /// non-null) on an unknown name, leaving \p Out untouched.
 bool parseOptPasses(std::string_view Spec, OptOptions &Out,
@@ -111,17 +105,11 @@ struct OptStats {
   }
 };
 
-struct RangeContext;
-
 /// Runs the enabled passes on \p F until a fixpoint or MaxIterations.
 /// Accumulates per-pass wall time and work counters into \p Stats when
-/// non-null. Returns true on any change. \p Ranges, when non-null and
-/// Opts.Ranges is set, supplies interprocedural facts to the range-aware
-/// passes (callers with a whole module pass one; per-function callers get
-/// an intraprocedural context built internally).
+/// non-null. Returns true on any change.
 bool runOptimizationPipeline(Function &F, const OptOptions &Opts,
-                             OptStats *Stats,
-                             const RangeContext *Ranges = nullptr);
+                             OptStats *Stats);
 inline bool runOptimizationPipeline(Function &F,
                                     const OptOptions &Opts = OptOptions()) {
   return runOptimizationPipeline(F, Opts, nullptr);

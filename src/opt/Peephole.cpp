@@ -6,8 +6,6 @@
 
 #include "opt/Peephole.h"
 
-#include "analysis/Cfg.h"
-#include "analysis/RangeAnalysis.h"
 
 #include <optional>
 #include <unordered_map>
@@ -33,22 +31,9 @@ std::optional<int64_t> powerOfTwoShift(int64_t V) {
 
 } // namespace
 
-bool impact::runPeephole(Function &F, const RangeContext *Ranges) {
-  // Interval facts flow in per block: the environment is stepped with the
-  // *original* instruction stream so it stays aligned with the analysis.
-  std::optional<Cfg> G;
-  std::optional<RangeAnalysis> RA;
-  if (Ranges && !F.Blocks.empty()) {
-    G.emplace(F);
-    RA.emplace(F, *G, *Ranges);
-  }
+bool impact::runPeephole(Function &F) {
   bool Changed = false;
-  for (size_t BIdx = 0; BIdx != F.Blocks.size(); ++BIdx) {
-    BasicBlock &B = F.Blocks[BIdx];
-    const bool HasRange = RA && RA->isReachable(static_cast<BlockId>(BIdx));
-    RangeAnalysis::Env RE;
-    if (HasRange)
-      RE = RA->blockIn(static_cast<BlockId>(BIdx));
+  for (BasicBlock &B : F.Blocks) {
     // Known constant value per register and active copies, both valid from
     // the definition point to the next redefinition within this block.
     std::unordered_map<Reg, int64_t> Known;
@@ -57,15 +42,7 @@ bool impact::runPeephole(Function &F, const RangeContext *Ranges) {
       auto It = Known.find(R);
       if (It != Known.end())
         return It->second;
-      if (HasRange) {
-        Interval IV = RangeAnalysis::get(RE, R);
-        if (IV.isConstant())
-          return IV.Lo;
-      }
       return std::nullopt;
-    };
-    auto ProvenNonNegative = [&](Reg R) {
-      return HasRange && RangeAnalysis::get(RE, R).isNonNegative();
     };
     // True when the two registers provably hold the same value here.
     auto SameValue = [&](Reg A, Reg C) {
@@ -92,8 +69,7 @@ bool impact::runPeephole(Function &F, const RangeContext *Ranges) {
 
     std::vector<Instr> Kept;
     Kept.reserve(B.Instrs.size());
-    for (const Instr &Orig : B.Instrs) {
-      Instr I = Orig;
+    for (Instr I : B.Instrs) {
       auto Rewrite = [&](Instr Replacement) {
         I = std::move(Replacement);
         Changed = true;
@@ -142,36 +118,13 @@ bool impact::runPeephole(Function &F, const RangeContext *Ranges) {
         break;
       case Opcode::Div:
         // x / -1 is left alone: INT64_MIN / -1 traps while neg wraps.
-        if (R && *R == 1) {
+        if (R && *R == 1)
           Rewrite(Instr::makeMov(I.Dst, I.Src1));
-        } else if (R && !L && ProvenNonNegative(I.Src1)) {
-          if (auto K = powerOfTwoShift(*R)) {
-            // x / 2^k == x >> k for a proven-nonnegative dividend, and a
-            // constant power-of-two divisor rules out both trap cases.
-            Reg Amount = F.addReg();
-            Kept.push_back(Instr::makeLdImm(Amount, *K));
-            Known[Amount] = *K;
-            Rewrite(Instr::makeBinary(Opcode::Shr, I.Dst, I.Src1, Amount));
-          }
-        }
         break;
       case Opcode::Rem:
         // x % 1 == 0 for every x under C's truncating division.
-        if (R && *R == 1) {
+        if (R && *R == 1)
           Rewrite(Instr::makeLdImm(I.Dst, 0));
-        } else if (R && !L && ProvenNonNegative(I.Src1)) {
-          if (auto K = powerOfTwoShift(*R)) {
-            // x % 2^k == x & (2^k - 1) for a proven-nonnegative dividend
-            // (mask 2^63 - 1 == INT64_MAX when the divisor wrapped to
-            // INT64_MIN, and x & INT64_MAX == x there — still exact).
-            int64_t MaskVal =
-                static_cast<int64_t>(static_cast<uint64_t>(*R) - 1);
-            Reg Mask = F.addReg();
-            Kept.push_back(Instr::makeLdImm(Mask, MaskVal));
-            Known[Mask] = MaskVal;
-            Rewrite(Instr::makeBinary(Opcode::And, I.Dst, I.Src1, Mask));
-          }
-        }
         break;
       case Opcode::Shl:
       case Opcode::Shr:
@@ -223,12 +176,6 @@ bool impact::runPeephole(Function &F, const RangeContext *Ranges) {
         break;
       }
 
-      // The rewrite step is done reading the pre-instruction interval
-      // state; advance it over the original before bookkeeping (which may
-      // drop or keep the rewritten form).
-      if (HasRange)
-        RA->step(Orig, RE);
-
       // Bookkeeping step: drop redundant moves, track constants/copies,
       // invalidate on redefinition.
       if (I.Op == Opcode::Mov) {
@@ -263,6 +210,6 @@ bool impact::runPeephole(Module &M) {
   bool Changed = false;
   for (Function &F : M.Funcs)
     if (!F.IsExternal)
-      Changed |= runPeephole(F, nullptr);
+      Changed |= runPeephole(F);
   return Changed;
 }

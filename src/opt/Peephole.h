@@ -11,8 +11,6 @@
 
 namespace impact {
 
-struct RangeContext;
-
 /// Local pattern rewrites over each block, tracking known constants and
 /// active copies from the block top:
 ///  - algebraic identities: x+0, x-0, x*1, x/1, x<<0, x>>0, x&-1, x|0,
@@ -26,15 +24,7 @@ struct RangeContext;
 /// All rewrites are exact for every operand value — trapping operations
 /// (div/rem by a possibly-zero divisor) are never touched.
 /// Returns true on change.
-///
-/// With a non-null \p Ranges, interval facts (analysis/RangeAnalysis.h)
-/// widen the net: a register whose interval is a singleton counts as a
-/// known constant for every rule above, and divide/remainder by a
-/// power-of-two constant strength-reduce to shift/mask when the dividend
-/// is proven nonnegative (exact there, and the constant divisor rules out
-/// the trap).
-bool runPeephole(Function &F, const RangeContext *Ranges);
-inline bool runPeephole(Function &F) { return runPeephole(F, nullptr); }
+bool runPeephole(Function &F);
 
 /// Runs the peephole pass over every non-external function.
 bool runPeephole(Module &M);

@@ -165,7 +165,6 @@ TEST(Pipeline, CacheKeyCoversEveryOptOption) {
       &OptOptions::TailRecursionElimination,
       &OptOptions::Peephole,
       &OptOptions::LoopInvariantCodeMotion,
-      &OptOptions::Ranges,
   };
   std::set<std::string> Keys;
   Keys.insert(FunctionDefinitionCache::makeKey(*Def, OptOptions()));

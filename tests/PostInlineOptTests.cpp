@@ -345,7 +345,6 @@ TEST(PassManager, ParseOptPassesGrammar) {
   std::string Error;
 
   ASSERT_TRUE(parseOptPasses("all", O, &Error));
-  EXPECT_TRUE(O.Ranges);
   EXPECT_TRUE(O.Peephole);
   EXPECT_TRUE(O.LoopInvariantCodeMotion);
   EXPECT_TRUE(O.TailRecursionElimination);
@@ -369,6 +368,15 @@ TEST(PassManager, ParseOptPassesGrammar) {
   EXPECT_NE(Error.find("licm"), std::string::npos)
       << "the error lists the valid names";
 
+  // Range facts are an analysis, not an optimizer input: "ranges" is no
+  // longer a pass name.
+  OptOptions Before = O;
+  EXPECT_FALSE(parseOptPasses("ranges", O, &Error));
+  EXPECT_NE(Error.find("unknown optimization pass 'ranges'"),
+            std::string::npos)
+      << Error;
+  EXPECT_TRUE(O == Before) << "a rejected spec leaves the options untouched";
+
   OptOptions Defaults;
   Defaults.MaxIterations = 9;
   ASSERT_TRUE(parseOptPasses("all", Defaults, &Error));
@@ -381,7 +389,7 @@ TEST(PassManager, RenderOptPassesInvertsParse) {
   ASSERT_TRUE(parseOptPasses("fold,tre,licm", O, &Error));
   EXPECT_EQ(renderOptPasses(O), "fold,tre,licm");
   ASSERT_TRUE(parseOptPasses(
-      "-fold,-jump,-copy,-dce,-tre,-peephole,-licm,-ranges", O, &Error));
+      "-fold,-jump,-copy,-dce,-tre,-peephole,-licm", O, &Error));
   EXPECT_EQ(renderOptPasses(O), "none");
 }
 
