@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace impact;
 
@@ -401,19 +402,23 @@ struct RangeDomain {
 
 } // namespace impact
 
-RangeAnalysis::RangeAnalysis(const Function &F, const Cfg &G, const Module &M,
+std::vector<char> impact::computeWideningHeaders(const Function &F) {
+  std::vector<char> Headers(F.Blocks.size(), 0);
+  for (const Loop &L : computeLoopInfo(F).Loops)
+    if (L.Header >= 0 && static_cast<size_t>(L.Header) < Headers.size())
+      Headers[static_cast<size_t>(L.Header)] = 1;
+  return Headers;
+}
+
+RangeAnalysis::RangeAnalysis(const Function &F, const Cfg &G,
+                             const std::vector<char> &Headers, const Module &M,
                              const ModuleRangeFacts &Facts)
-    : F(F), G(G), M(M), Facts(Facts) {
+    : F(F), G(G), M(M), Facts(Facts), IsHeader(Headers) {
   size_t N = G.getNumBlocks();
+  assert(IsHeader.size() == N && "widening-header mask of another function");
   Reached.assign(N, 0);
-  IsHeader.assign(N, 0);
   if (N == 0)
     return;
-
-  LoopInfo LI = computeLoopInfo(F);
-  for (const Loop &L : LI.Loops)
-    if (L.Header >= 0 && static_cast<size_t>(L.Header) < N)
-      IsHeader[static_cast<size_t>(L.Header)] = 1;
 
   // A bottom formal proves the function is never entered; nothing inside
   // it is reachable and every fact about it is vacuous.
@@ -625,6 +630,19 @@ bool isDefined(const Function &F) {
   return !F.IsExternal && !F.Eliminated && !F.Blocks.empty();
 }
 
+/// What every solve of one defined function reuses within a fact
+/// computation: its CFG and widening-header mask.
+struct FunctionShape {
+  Cfg G;
+  std::vector<char> Headers;
+
+  explicit FunctionShape(const Function &F)
+      : G(F), Headers(computeWideningHeaders(F)) {}
+};
+
+/// Indexed by FuncId; engaged for defined functions only.
+using FunctionShapes = std::vector<std::optional<FunctionShape>>;
+
 /// One bottom-up evaluation of a function against the facts accumulated so
 /// far: return range and purity bits. A \p Final evaluation runs against
 /// the function's final formals and callee summaries: it also records
@@ -648,12 +666,12 @@ void recordSiteArgs(const Instr &I, const RangeAnalysis::Env &E,
   Facts.SiteHasFact[I.SiteId] = 1;
 }
 
-BottomUpResult evaluateFunction(const Function &F, const Module &M,
-                                ModuleRangeFacts &Facts, bool Final,
-                                const RangeVisitor &Visit) {
+BottomUpResult evaluateFunction(const Function &F, const FunctionShape &Shape,
+                                const Module &M, ModuleRangeFacts &Facts,
+                                bool Final, const RangeVisitor &Visit) {
   BottomUpResult R;
-  Cfg G(F);
-  RangeAnalysis Ranges(F, G, M, Facts);
+  const Cfg &G = Shape.G;
+  RangeAnalysis Ranges(F, G, Shape.Headers, M, Facts);
 
   RangeAnalysis::Env E;
   for (size_t B = 0; B != F.Blocks.size(); ++B) {
@@ -746,7 +764,8 @@ BottomUpResult evaluateFunction(const Function &F, const Module &M,
 /// final one (see evaluateFunction): the single round of a non-recursive
 /// function, one more evaluation per member of a recursive component.
 void solveComponent(const std::vector<int> &Members, bool Recursive,
-                    const Module &M, ModuleRangeFacts &Facts, bool Final,
+                    const FunctionShapes &Shapes, const Module &M,
+                    ModuleRangeFacts &Facts, bool Final,
                     const RangeVisitor &Visit) {
   for (int FI : Members) {
     FunctionRangeSummary &S = Facts.Funcs[static_cast<size_t>(FI)];
@@ -761,8 +780,8 @@ void solveComponent(const std::vector<int> &Members, bool Recursive,
     bool Changed = false;
     for (int FI : Members) {
       const Function &F = M.Funcs[static_cast<size_t>(FI)];
-      BottomUpResult R =
-          evaluateFunction(F, M, Facts, Final && !Recursive, Visit);
+      BottomUpResult R = evaluateFunction(F, *Shapes[static_cast<size_t>(FI)],
+                                          M, Facts, Final && !Recursive, Visit);
       FunctionRangeSummary &S = Facts.Funcs[static_cast<size_t>(FI)];
       Interval NewRet = Round >= 2 ? widen(S.Ret, join(S.Ret, R.Ret))
                                    : join(S.Ret, R.Ret);
@@ -789,7 +808,8 @@ void solveComponent(const std::vector<int> &Members, bool Recursive,
   }
   if (Final && Recursive)
     for (int FI : Members)
-      (void)evaluateFunction(M.Funcs[static_cast<size_t>(FI)], M, Facts,
+      (void)evaluateFunction(M.Funcs[static_cast<size_t>(FI)],
+                             *Shapes[static_cast<size_t>(FI)], M, Facts,
                              /*Final=*/true, Visit);
 }
 
@@ -807,11 +827,13 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M,
 
   std::vector<std::vector<int>> Succ(N);
   std::vector<char> CallsItself(N, 0);
+  FunctionShapes Shapes(N);
   for (size_t FI = 0; FI != N; ++FI) {
     const Function &F = M.Funcs[FI];
     if (!isDefined(F))
       continue;
     Facts.Funcs[FI].HasSummary = true;
+    Shapes[FI].emplace(F);
     for (const BasicBlock &B : F.Blocks)
       for (const Instr &I : B.Instrs) {
         if (I.Op == Opcode::CallPtr)
@@ -841,7 +863,8 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M,
   // so ascending id order visits callees before callers.
   for (const std::vector<int> &C : Members)
     if (!C.empty())
-      solveComponent(C, IsRecursive(C), M, Facts, /*Final=*/false, Visit);
+      solveComponent(C, IsRecursive(C), Shapes, M, Facts, /*Final=*/false,
+                     Visit);
 
   // Phase B: top-down formal propagation from main over direct sites. A
   // single CallPtr anywhere defeats it: a forged pointer can enter any
@@ -884,8 +907,8 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M,
       // Analyze under the caller's current formals.
       Facts.Funcs[static_cast<size_t>(FI)].Params =
           Formals[static_cast<size_t>(FI)];
-      Cfg G(F);
-      RangeAnalysis Ranges(F, G, M, Facts);
+      const FunctionShape &Shape = *Shapes[static_cast<size_t>(FI)];
+      RangeAnalysis Ranges(F, Shape.G, Shape.Headers, M, Facts);
       for (size_t B = 0; B != F.Blocks.size(); ++B) {
         if (!Ranges.isReachable(static_cast<BlockId>(B)))
           continue;
@@ -930,7 +953,8 @@ ModuleRangeFacts impact::computeModuleRangeFacts(const Module &M,
   // per-site argument facts and goes to the visitor.
   for (const std::vector<int> &C : Members)
     if (!C.empty())
-      solveComponent(C, IsRecursive(C), M, Facts, /*Final=*/true, Visit);
+      solveComponent(C, IsRecursive(C), Shapes, M, Facts, /*Final=*/true,
+                     Visit);
 
   return Facts;
 }

@@ -86,7 +86,6 @@ struct Interval {
   bool isConstant() const { return Lo == Hi; }
   bool contains(int64_t V) const { return Lo <= V && V <= Hi; }
   bool isNonNegative() const { return !isBottom() && Lo >= 0; }
-  bool excludesZero() const { return !isBottom() && (Lo > 0 || Hi < 0); }
 
   friend bool operator==(const Interval &A, const Interval &B) {
     if (A.isBottom() && B.isBottom())
@@ -199,12 +198,15 @@ ModuleRangeFacts computeModuleRangeFacts(const Module &M,
 /// Construction runs the solve; queries are cheap afterwards. The register
 /// environment is a plain vector indexed by register (entry state: formals
 /// from the summary or top, every other register exactly 0 — activations
-/// zero-initialize). \p M and \p Facts must outlive the analysis.
+/// zero-initialize). \p G, \p Headers, \p M and \p Facts must outlive
+/// the analysis.
 class RangeAnalysis {
 public:
   using Env = std::vector<Interval>;
 
-  RangeAnalysis(const Function &F, const Cfg &G, const Module &M,
+  /// \p Headers is \p F's widening-header mask (computeWideningHeaders).
+  RangeAnalysis(const Function &F, const Cfg &G,
+                const std::vector<char> &Headers, const Module &M,
                 const ModuleRangeFacts &Facts);
 
   /// False when range propagation proves the block can never execute
@@ -247,10 +249,15 @@ private:
   const Cfg &G;
   const Module &M;
   const ModuleRangeFacts &Facts;
+  const std::vector<char> &IsHeader;
   std::vector<Env> In;
   std::vector<char> Reached;
-  std::vector<char> IsHeader;
 };
+
+/// One byte per block of \p F, 1 for a loop header: the blocks where
+/// RangeAnalysis widens after fewer changed joins. computeModuleRangeFacts
+/// builds it, and each function's Cfg, once per fact computation.
+std::vector<char> computeWideningHeaders(const Function &F);
 
 //===----------------------------------------------------------------------===//
 // Dynamic cross-check
