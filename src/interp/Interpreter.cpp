@@ -130,10 +130,14 @@ private:
     }
 
     // The callee's window sits above the caller's, so arguments copy
-    // straight across (by index: the resize may reallocate).
+    // straight across (by index: growing the file may reallocate).
     size_t CallerBase = RegBase;
-    RegBase = RegFile.size();
-    RegFile.resize(RegBase + F.NumRegs, 0);
+    RegBase = RegTop;
+    RegTop += F.NumRegs;
+    if (RegTop > RegFile.size())
+      RegFile.resize(std::max(RegTop, 2 * RegFile.size()));
+    std::fill_n(RegFile.begin() + static_cast<ptrdiff_t>(RegBase), F.NumRegs,
+                0);
     for (size_t I = 0; I != ArgRegs.size(); ++I)
       RegFile[RegBase + I] =
           RegFile[CallerBase + static_cast<size_t>(ArgRegs[I])];
@@ -248,7 +252,7 @@ private:
       return;
     }
 
-    RegFile.resize(RegBase);
+    RegTop = RegBase;
 
     Frame Top = Frames.back();
     Frames.pop_back();
@@ -462,7 +466,11 @@ private:
   InstructionLayout Layout;
 
   // Machine state.
+  /// Every live activation's registers, innermost on top; the words from
+  /// RegTop up are free (and dirty until a call zeroes them). Calls and
+  /// returns move RegTop; the file itself only grows, by doubling.
   std::vector<int64_t> RegFile;
+  size_t RegTop = 0;
   /// Argument scratch for intrinsic calls, reused across calls.
   std::vector<int64_t> IntrArgs;
   std::vector<Frame> Frames;

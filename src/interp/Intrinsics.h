@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace impact {
@@ -33,11 +34,12 @@ namespace impact {
 class Memory;
 
 /// Per-run I/O state: two input streams (cmp-style programs compare a pair
-/// of files) and one output stream.
+/// of files) and one output stream. The inputs view the run's
+/// RunOptions, which outlive the run.
 struct IoEnv {
-  std::string Input;
+  std::string_view Input;
   size_t InputPos = 0;
-  std::string Input2;
+  std::string_view Input2;
   size_t Input2Pos = 0;
   std::string Output;
   bool Exited = false;

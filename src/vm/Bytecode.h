@@ -36,6 +36,7 @@
 #ifndef IMPACT_VM_BYTECODE_H
 #define IMPACT_VM_BYTECODE_H
 
+#include "interp/Memory.h"
 #include "ir/Ir.h"
 
 #include <cstdint>
@@ -145,9 +146,9 @@ struct VmCompileStats {
 struct VmProgram {
   std::vector<VmFunction> Funcs;  // indexed by FuncId
   std::vector<VmCallee> Callees;  // indexed by FuncId
-  /// Flattened initial global segment (flattenGlobalImage), so runs don't
-  /// need the Module.
-  std::vector<int64_t> GlobalImage;
+  /// The initial global segment (flattenGlobalImage), so runs don't need
+  /// the Module.
+  impact::GlobalImage GlobalImage;
   FuncId MainId = kNoFunc;
   uint32_t NumSites = 0;          // Module::NextSiteId (arc-counter table)
   size_t NumFuncs = 0;

@@ -73,6 +73,7 @@ public:
       return finish();
     RegFile.assign(F.NumRegs, 0);
     RegBase = 0;
+    RegTop = F.NumRegs;
     CurFunc = P.MainId;
     if (Check)
       Check->onEnter(P.MainId, RegFile.data(),
@@ -168,8 +169,12 @@ private:
       return false;
     }
 
-    size_t NewBase = RegFile.size();
-    RegFile.resize(NewBase + F.NumRegs, 0);
+    size_t NewBase = RegTop;
+    RegTop += F.NumRegs;
+    if (RegTop > RegFile.size())
+      RegFile.resize(std::max(RegTop, 2 * RegFile.size()));
+    std::fill_n(RegFile.begin() + static_cast<ptrdiff_t>(NewBase), F.NumRegs,
+                0);
     for (int32_t I = 0; I != NArgs; ++I)
       RegFile[NewBase + static_cast<size_t>(I)] =
           RegFile[RegBase + static_cast<size_t>(ArgRegs[I])];
@@ -255,7 +260,11 @@ private:
   IoEnv Io;
 
   // Machine state shared between the loop and the cold helpers.
+  /// Every live activation's registers, innermost on top; the words from
+  /// RegTop up are free (and dirty until a call zeroes them). Calls and
+  /// returns move RegTop; the file itself only grows, by doubling.
   std::vector<int64_t> RegFile;
+  size_t RegTop = 0;
   std::vector<VmFrame> Frames;
   std::vector<int64_t> IntrArgs;
   int32_t CurFunc = kNoFunc;

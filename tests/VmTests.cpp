@@ -170,11 +170,10 @@ int main() { return a + b[1]; }
 )MC";
   Module M = test::compileOk(Source);
   VmProgram P = compileToBytecode(M);
-  ASSERT_EQ(static_cast<int64_t>(P.GlobalImage.size()),
-            M.getGlobalSegmentSize());
-  // MiniC globals are zero-initialized; every word of the image is zero.
-  for (int64_t W : P.GlobalImage)
-    EXPECT_EQ(W, 0);
+  EXPECT_EQ(P.GlobalImage.Words, M.getGlobalSegmentSize());
+  // MiniC globals are zero-initialized; every word of the image is zero,
+  // so the sparse image lists no nonzero word.
+  EXPECT_TRUE(P.GlobalImage.Nonzero.empty());
 }
 
 TEST(BytecodeCompile, DisassemblerRendersEveryInstruction) {
