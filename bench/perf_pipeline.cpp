@@ -21,6 +21,7 @@
 #include "driver/BatchPipeline.h"
 #include "driver/Compilation.h"
 #include "interp/Engine.h"
+#include "profile/MinCover.h"
 #include "profile/Profiler.h"
 #include "suite/Suite.h"
 #include "support/ThreadPool.h"
@@ -41,6 +42,33 @@ const BenchmarkSpec &grepSpec() { return *findBenchmark("grep"); }
 
 ExecEngine engineForArg(int64_t Arg) {
   return Arg == 0 ? ExecEngine::Walker : ExecEngine::Vm;
+}
+
+/// profileProgram's measuring runs, one input after another on this
+/// thread: the same runs, inference and totals, but without its per-input
+/// concurrency, so the IL/s figures below stay single-thread engine
+/// throughput. Returns the executed IL steps.
+uint64_t profileSerially(const Module &M, const std::vector<RunInput> &Inputs,
+                         ExecEngine Engine, InstrumentMode Instrument) {
+  bool MC = Instrument == InstrumentMode::MinCover;
+  MinCoverPlan Plan;
+  if (MC)
+    Plan = buildMinCoverPlan(M);
+  VmProgram Compiled;
+  if (Engine == ExecEngine::Vm)
+    Compiled = compileToBytecode(M, MC ? &Plan : nullptr);
+  ProfileData Data;
+  for (const RunInput &In : Inputs) {
+    RunOptions Opts;
+    Opts.Input = In.Input;
+    Opts.Input2 = In.Input2;
+    if (MC)
+      Opts.MinCover = &Plan;
+    ExecResult R = Engine == ExecEngine::Vm ? runProgramVm(Compiled, Opts)
+                                            : runProgram(M, Opts);
+    Data.accumulate(MC ? inferCounts(M, Plan, R.Stats) : R.Stats);
+  }
+  return Data.getInstrTotal();
 }
 
 /// One batch job per suite program with \p Runs profiled inputs each.
@@ -112,7 +140,8 @@ void BM_InterpreterThroughput(benchmark::State &State) {
 BENCHMARK(BM_InterpreterThroughput)->Arg(0)->Arg(1);
 
 // The profiling phase in isolation — the paper's measuring runs over the
-// whole suite (modules precompiled, so this times execution only).
+// whole suite (modules precompiled, so this times execution only), run
+// serially (profileSerially) so IL/s is single-thread engine throughput.
 // Args are {engine, instrument}: engine 0=walk / 1=vm, instrument 0=full
 // / 1=mincover. The vm/full row is the tentpole speedup tracked in
 // BENCH_interp.json; the mincover rows are the counter-pressure speedup
@@ -133,12 +162,9 @@ void BM_ProfilePhaseWholeSuite(benchmark::State &State) {
   }
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    for (const Prepared &P : Programs) {
-      ProfileResult R =
-          profileProgram(P.M, P.Inputs, RunOptions(), Engine, Instrument);
-      Instrs += R.Data.getInstrTotal();
-      benchmark::DoNotOptimize(R.Data.getNumRuns());
-    }
+    for (const Prepared &P : Programs)
+      Instrs += profileSerially(P.M, P.Inputs, Engine, Instrument);
+    benchmark::DoNotOptimize(Instrs);
   }
   State.SetLabel(std::string(getEngineName(Engine)) + "/" +
                  getInstrumentModeName(Instrument));
@@ -329,8 +355,9 @@ BENCHMARK(BM_SuiteSweepDefinitionCache)
 // --bench-json=FILE: the perf-trajectory measurement
 //===----------------------------------------------------------------------===//
 
-/// Wall-times one full profiling pass (the paper's measuring runs) over
-/// the precompiled suite under \p Engine; best of \p Reps.
+/// Wall-times one full profiling pass (the paper's measuring runs, run
+/// serially by profileSerially) over the precompiled suite under
+/// \p Engine; best of \p Reps.
 struct PhaseTiming {
   double ProfileSeconds = 0.0; // best-of-reps wall time, whole suite
   uint64_t Instrs = 0;         // IL steps executed per pass
@@ -344,10 +371,8 @@ PhaseTiming timeProfilePhase(
   for (int Rep = 0; Rep != Reps; ++Rep) {
     uint64_t Instrs = 0;
     Clock::time_point Start = Clock::now();
-    for (const auto &[M, Inputs] : Programs) {
-      ProfileResult R = profileProgram(M, Inputs, RunOptions(), Engine);
-      Instrs += R.Data.getInstrTotal();
-    }
+    for (const auto &[M, Inputs] : Programs)
+      Instrs += profileSerially(M, Inputs, Engine, InstrumentMode::Full);
     double Seconds = std::chrono::duration<double>(Clock::now() - Start)
                          .count();
     if (Rep == 0 || Seconds < Best.ProfileSeconds) {

@@ -6,7 +6,10 @@
 
 #include "profile/Profiler.h"
 
+#include "support/ThreadPool.h"
 #include "vm/Vm.h"
+
+#include <mutex>
 
 using namespace impact;
 
@@ -32,7 +35,14 @@ ProfileResult impact::profileProgram(const Module &M,
   if (VmRuns)
     Compiled = compileToBytecode(M, MC ? &Plan : nullptr);
 
-  for (size_t I = 0; I != Inputs.size(); ++I) {
+  // Each run folds its statistics straight into Result.Data, under a lock,
+  // and keeps only its output and status: the totals are sums and one max,
+  // exact in any order, so the runs may finish in any order too.
+  std::vector<ExecResult::Status> Status(Inputs.size());
+  std::vector<std::string> Messages(Inputs.size());
+  Result.Outputs.resize(Inputs.size());
+  std::mutex DataMutex;
+  auto RunOne = [&](size_t I) {
     RunOptions Opts = Base;
     Opts.Input = Inputs[I].Input;
     Opts.Input2 = Inputs[I].Input2;
@@ -59,16 +69,32 @@ ProfileResult impact::profileProgram(const Module &M,
     }
     }
 
-    if (!R.ok()) {
-      Result.Failures.push_back("run " + std::to_string(I) + ": " +
-                                R.TrapMessage);
-      Result.RunFailures.push_back(
-          {static_cast<unsigned>(I), R.St, R.TrapMessage});
-    }
     if (MC)
       R.Stats = inferCounts(M, Plan, R.Stats);
-    Result.Data.accumulate(R.Stats);
-    Result.Outputs.push_back(std::move(R.Output));
+    {
+      std::lock_guard<std::mutex> Lock(DataMutex);
+      Result.Data.accumulate(R.Stats);
+    }
+    Status[I] = R.St;
+    Messages[I] = std::move(R.TrapMessage);
+    Result.Outputs[I] = std::move(R.Output);
+  };
+  // The icache simulator and the fact checker are shared sinks that see
+  // one run at a time, in input order.
+  if (Base.ICache || Base.FactCheck) {
+    for (size_t I = 0; I != Inputs.size(); ++I)
+      RunOne(I);
+  } else {
+    parallelFor(Inputs.size(), RunOne);
+  }
+
+  for (size_t I = 0; I != Inputs.size(); ++I) {
+    if (Status[I] == ExecResult::Status::Exited)
+      continue;
+    Result.Failures.push_back("run " + std::to_string(I) + ": " +
+                              Messages[I]);
+    Result.RunFailures.push_back(
+        {static_cast<unsigned>(I), Status[I], std::move(Messages[I])});
   }
   return Result;
 }

@@ -66,6 +66,13 @@ struct ProfileResult {
 /// (planner, decision trace, weight audits) is unaware of the mode. Under
 /// ExecEngine::Both the RAW mincover observables (arc counters, halt
 /// records) are compared across engines before inference.
+///
+/// The inputs run concurrently (support/ThreadPool.h's parallelFor), each
+/// run folded into the totals as it finishes. The totals are sums and one
+/// max, so they are bit-identical to a serial loop in input order, and
+/// Outputs, Failures and RunFailures still come out in input order. Runs
+/// stay serial, in input order, when Base.ICache or Base.FactCheck is set:
+/// both are sinks shared by every run.
 ProfileResult profileProgram(const Module &M,
                              const std::vector<RunInput> &Inputs,
                              const RunOptions &Base = RunOptions(),

@@ -14,9 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 using namespace impact;
 
@@ -191,6 +195,51 @@ TEST(StringUtils, FormatWithCommas) {
   EXPECT_EQ(formatWithCommas(1000), "1,000");
   EXPECT_EQ(formatWithCommas(1234567), "1,234,567");
   EXPECT_EQ(formatWithCommas(-1234567), "-1,234,567");
+}
+
+//===----------------------------------------------------------------------===//
+// parallelFor
+//===----------------------------------------------------------------------===//
+
+TEST(ParallelFor, RunsEveryIndexOnce) {
+  for (size_t N : {0u, 1u, 2u, 7u, 1000u}) {
+    std::vector<std::atomic<int>> Hits(N);
+    parallelFor(N, [&](size_t I) { ++Hits[I]; });
+    for (size_t I = 0; I != N; ++I)
+      EXPECT_EQ(Hits[I].load(), 1) << "index " << I << " of " << N;
+  }
+}
+
+TEST(ParallelFor, NestedAndConcurrentCallsFinish) {
+  // Loops inside loop bodies and loops from several threads at once: the
+  // callers always make progress themselves, so none can wait forever.
+  std::atomic<size_t> Total{0};
+  std::vector<std::thread> Callers;
+  for (int T = 0; T != 4; ++T)
+    Callers.emplace_back([&Total] {
+      parallelFor(8, [&Total](size_t) {
+        parallelFor(16, [&Total](size_t J) { Total += J; });
+      });
+    });
+  for (std::thread &C : Callers)
+    C.join();
+  EXPECT_EQ(Total.load(), 4u * 8u * (15u * 16u / 2u));
+}
+
+TEST(ParallelFor, RethrowsTheBodysException) {
+  std::atomic<int> Ran{0};
+  EXPECT_THROW(parallelFor(64,
+                           [&Ran](size_t I) {
+                             ++Ran;
+                             if (I == 3)
+                               throw std::runtime_error("index 3");
+                           }),
+               std::runtime_error);
+  EXPECT_GE(Ran.load(), 1);
+  // The helpers are still usable afterwards.
+  std::atomic<int> After{0};
+  parallelFor(10, [&After](size_t) { ++After; });
+  EXPECT_EQ(After.load(), 10);
 }
 
 //===----------------------------------------------------------------------===//
