@@ -7,7 +7,6 @@
 #include "profile/MinCover.h"
 
 #include "analysis/LoopInfo.h"
-#include "ir/IrPrinter.h"
 
 #include <algorithm>
 #include <cassert>
@@ -82,19 +81,6 @@ uint64_t depthWeight(unsigned Depth) {
   for (unsigned I = 0; I < Depth && I < 18; ++I)
     W *= 10;
   return W;
-}
-
-uint64_t fnv1a(uint64_t Hash, const void *Data, size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I < Len; ++I) {
-    Hash ^= P[I];
-    Hash *= 1099511628211ull;
-  }
-  return Hash;
-}
-
-uint64_t fnv1aU64(uint64_t Hash, uint64_t V) {
-  return fnv1a(Hash, &V, sizeof(V));
 }
 
 /// Computes the set of blocks reachable from the entry block along
@@ -234,31 +220,15 @@ MinCoverPlan buildMinCoverPlan(const Module &M) {
       continue;
     buildFuncPlan(Fn, Plan.Funcs[F], Plan.NumProbes, Plan.TotalArcs);
   }
-
-  // Fingerprint: the printed module (probe indices are a pure function of
-  // it, but hashing the layout too makes staleness checks robust to any
-  // future planner change).
-  std::string Text = printModule(M);
-  uint64_t H = 14695981039346656037ull;
-  H = fnv1a(H, Text.data(), Text.size());
-  H = fnv1aU64(H, Plan.NumProbes);
-  H = fnv1aU64(H, Plan.NumSites);
-  H = fnv1aU64(H, Plan.NumFuncs);
-  for (const MinCoverFuncPlan &FP : Plan.Funcs)
-    for (const MinCoverArc &A : FP.Arcs) {
-      H = fnv1aU64(H, static_cast<uint64_t>(A.K));
-      H = fnv1aU64(H, static_cast<uint64_t>(static_cast<int64_t>(A.From)));
-      H = fnv1aU64(H, static_cast<uint64_t>(static_cast<int64_t>(A.To)));
-      H = fnv1aU64(H, static_cast<uint64_t>(static_cast<int64_t>(A.Probe)));
-    }
-  Plan.Fingerprint = H;
   return Plan;
 }
 
-ExecStats inferTotals(const Module &M, const MinCoverPlan &Plan,
-                      const std::vector<uint64_t> &ArcTotals,
-                      const std::vector<WeightedHalt> &Halts) {
+ExecStats inferCounts(const Module &M, const MinCoverPlan &Plan,
+                      const ExecStats &Raw) {
   ExecStats Out;
+  Out.InstrCount = Raw.InstrCount;
+  Out.ExternalCalls = Raw.ExternalCalls;
+  Out.PeakStackWords = Raw.PeakStackWords;
   Out.SiteCounts.assign(Plan.NumSites, 0);
   Out.FuncEntryCounts.assign(Plan.NumFuncs, 0);
 
@@ -272,16 +242,16 @@ ExecStats inferTotals(const Module &M, const MinCoverPlan &Plan,
     const size_t NumArcs = FP.Arcs.size();
 
     // Halt aggregates for this function: per-block pending activations and
-    // the weighted (block, calls-done) corrections for call sites.
+    // the (block, calls-done) corrections for call sites.
     std::vector<uint64_t> Pending(NB + 1, 0);
-    std::vector<WeightedHalt> FnHalts;
+    std::vector<HaltRecord> FnHalts;
     uint64_t TotalPending = 0;
-    for (const WeightedHalt &H : Halts) {
+    for (const HaltRecord &H : Raw.Halts) {
       if (H.Func != static_cast<FuncId>(F))
         continue;
       assert(H.Block >= 0 && static_cast<size_t>(H.Block) < NB);
-      Pending[H.Block] += H.Count;
-      TotalPending += H.Count;
+      ++Pending[H.Block];
+      ++TotalPending;
       FnHalts.push_back(H);
     }
 
@@ -310,8 +280,8 @@ ExecStats inferTotals(const Module &M, const MinCoverPlan &Plan,
       size_t From = NodeOf(Arc.From), To = NodeOf(Arc.To);
       if (Arc.Probe >= 0) {
         Known[A] = true;
-        Count[A] = static_cast<size_t>(Arc.Probe) < ArcTotals.size()
-                       ? ArcTotals[Arc.Probe]
+        Count[A] = static_cast<size_t>(Arc.Probe) < Raw.ArcCounts.size()
+                       ? Raw.ArcCounts[Arc.Probe]
                        : 0;
         Residual[From] -= Count[A];
         Residual[To] += Count[A];
@@ -390,9 +360,9 @@ ExecStats inferTotals(const Module &M, const MinCoverPlan &Plan,
         if (I.Op != Opcode::Call && I.Op != Opcode::CallPtr)
           continue;
         uint64_t C = Completions[B];
-        for (const WeightedHalt &H : FnHalts)
+        for (const HaltRecord &H : FnHalts)
           if (H.Block == static_cast<BlockId>(B) && H.CallsDone > Ordinal)
-            C += H.Count;
+            ++C;
         if (I.SiteId < Out.SiteCounts.size())
           Out.SiteCounts[I.SiteId] = C;
         Out.DynamicCalls += C;
@@ -402,20 +372,6 @@ ExecStats inferTotals(const Module &M, const MinCoverPlan &Plan,
       }
     }
   }
-  return Out;
-}
-
-ExecStats inferCounts(const Module &M, const MinCoverPlan &Plan,
-                      const ExecStats &Raw) {
-  std::vector<WeightedHalt> Halts;
-  Halts.reserve(Raw.Halts.size());
-  for (const HaltRecord &H : Raw.Halts)
-    Halts.push_back({H.Func, H.Block, H.CallsDone, 1});
-
-  ExecStats Out = inferTotals(M, Plan, Raw.ArcCounts, Halts);
-  Out.InstrCount = Raw.InstrCount;
-  Out.ExternalCalls = Raw.ExternalCalls;
-  Out.PeakStackWords = Raw.PeakStackWords;
   // External entries are measured directly (the bump sits on the cold
   // external-call path); internal entries came out of the solve above.
   for (size_t F = 0; F < Raw.FuncEntryCounts.size(); ++F) {

@@ -125,9 +125,6 @@ struct MinCoverPlan {
   uint32_t NumSites = 0;
   /// Module function count at plan time.
   uint32_t NumFuncs = 0;
-  /// FNV-1a over the printed module and the probe layout; shards carrying a
-  /// different fingerprint are stale and must be rejected by the merger.
-  uint64_t Fingerprint = 0;
 };
 
 /// Builds the probe plan: per internal function, a maximum-weight spanning
@@ -136,29 +133,6 @@ struct MinCoverPlan {
 /// consecutive global probe indices. Unreachable blocks contribute no arcs
 /// (their counts are zero by definition).
 MinCoverPlan buildMinCoverPlan(const Module &M);
-
-/// A HaltRecord with a multiplicity — the aggregated form profile shards
-/// carry (one line per distinct (func, block, calls-done) triple).
-struct WeightedHalt {
-  FuncId Func = -1;
-  BlockId Block = -1;
-  uint32_t CallsDone = 0;
-  uint64_t Count = 0;
-
-  friend bool operator==(const WeightedHalt &, const WeightedHalt &) = default;
-};
-
-/// Core solve over aggregated totals: \p ArcTotals is a probe-indexed sum
-/// of co-tree counters (any number of runs / shards), \p Halts the weighted
-/// halt records. Returns an ExecStats whose inferred fields (SiteCounts,
-/// internal FuncEntryCounts, ControlTransfers, DynamicCalls, PointerCalls,
-/// Returns) hold the reconstructed *totals*; directly-measured fields are
-/// left zero for the caller to fill. The conservation system is linear, so
-/// merge-then-infer equals infer-then-merge — which is what lets shards
-/// ship raw probe vectors instead of rehydrated profiles.
-ExecStats inferTotals(const Module &M, const MinCoverPlan &Plan,
-                      const std::vector<uint64_t> &ArcTotals,
-                      const std::vector<WeightedHalt> &Halts);
 
 /// Solves the flow-conservation system for \p Raw (a mincover-mode
 /// ExecStats: ArcCounts + Halts + directly measured fields) and returns a

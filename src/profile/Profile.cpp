@@ -27,12 +27,6 @@ void ProfileData::accumulate(const ExecStats &Stats) {
     MaxPeakStackWords = Stats.PeakStackWords;
 }
 
-void ProfileData::accumulateTotals(const ExecStats &Totals, uint64_t Runs) {
-  accumulate(Totals);
-  --NumRuns; // accumulate() counts one run; the totals cover Runs of them
-  NumRuns += Runs;
-}
-
 double ProfileData::getArcWeight(uint32_t SiteId) const {
   if (NumRuns == 0 || SiteId >= SiteTotals.size())
     return 0.0;

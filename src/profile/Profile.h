@@ -30,12 +30,6 @@ public:
   /// Folds one run's statistics into the totals.
   void accumulate(const ExecStats &Stats);
 
-  /// Folds pre-aggregated totals covering \p Runs runs into this profile —
-  /// the shard-merge entry point (profile/ProfileIO.h): \p Totals is the
-  /// element-wise SUM over those runs (as produced by inferTotals), not a
-  /// single run's stats. accumulateTotals(T, 1) == accumulate(T).
-  void accumulateTotals(const ExecStats &Totals, uint64_t Runs);
-
   uint64_t getNumRuns() const { return NumRuns; }
 
   /// Average invocations of call site \p SiteId per run — the arc weight.

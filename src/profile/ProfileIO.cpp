@@ -8,7 +8,6 @@
 
 #include "support/StringUtils.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <fstream>
@@ -19,7 +18,6 @@ using namespace impact;
 namespace {
 
 constexpr std::string_view kMagic = "impact-profile v1";
-constexpr std::string_view kShardMagic = "impact-profile-shard v2";
 
 void appendSparse(std::string &Out, std::string_view Key,
                   const std::vector<uint64_t> &Totals) {
@@ -97,6 +95,12 @@ bool readSparse(LineReader &Lines, std::string_view Key,
   uint64_t Size = 0;
   if (!readKeyed(Lines, Key, Size, Error))
     return false;
+  if (Size > kMaxProfileSectionEntries)
+    return fail(Error, "line " + std::to_string(Lines.lineNumber()) + ": '" +
+                           std::string(Key) + "' size " +
+                           std::to_string(Size) + " exceeds the budget of " +
+                           std::to_string(kMaxProfileSectionEntries) +
+                           " entries");
   Out.assign(Size, 0);
   // Strict parse: every index at most once. Entries are accepted in any
   // order, but a repeat is an error — silently keeping the last value
@@ -191,213 +195,4 @@ bool impact::loadProfileFromFile(const std::string &Path, ProfileData &Out,
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
   return loadProfile(Buffer.str(), Out, Error);
-}
-
-//===----------------------------------------------------------------------===//
-// v2 shards
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-uint64_t satAdd(uint64_t A, uint64_t B) {
-  return A > UINT64_MAX - B ? UINT64_MAX : A + B;
-}
-
-uint64_t satMul(uint64_t A, uint64_t B) {
-  if (A != 0 && B > UINT64_MAX / A)
-    return UINT64_MAX;
-  return A * B;
-}
-
-bool haltLess(const WeightedHalt &A, const WeightedHalt &B) {
-  if (A.Func != B.Func)
-    return A.Func < B.Func;
-  if (A.Block != B.Block)
-    return A.Block < B.Block;
-  return A.CallsDone < B.CallsDone;
-}
-
-/// Adds \p H (count already weighted) into the sorted halt list.
-void addHalt(std::vector<WeightedHalt> &Halts, const WeightedHalt &H) {
-  if (H.Count == 0)
-    return;
-  auto It = std::lower_bound(Halts.begin(), Halts.end(), H, haltLess);
-  if (It != Halts.end() && It->Func == H.Func && It->Block == H.Block &&
-      It->CallsDone == H.CallsDone)
-    It->Count = satAdd(It->Count, H.Count);
-  else
-    Halts.insert(It, H);
-}
-
-} // namespace
-
-ProfileShard impact::makeShard(const MinCoverPlan &Plan, uint64_t Epoch,
-                               uint64_t Weight) {
-  ProfileShard S;
-  S.Fingerprint = Plan.Fingerprint;
-  S.Mode = InstrumentMode::MinCover;
-  S.Epoch = Epoch;
-  S.Weight = Weight;
-  S.ArcTotals.assign(Plan.NumProbes, 0);
-  S.ExternalEntryTotals.assign(Plan.NumFuncs, 0);
-  return S;
-}
-
-void impact::accumulateShard(ProfileShard &Shard, const ExecStats &Raw) {
-  Shard.Runs = satAdd(Shard.Runs, 1);
-  Shard.InstrTotal = satAdd(Shard.InstrTotal, Raw.InstrCount);
-  Shard.ExternalCallTotal = satAdd(Shard.ExternalCallTotal,
-                                   Raw.ExternalCalls);
-  Shard.MaxPeakStackWords =
-      std::max(Shard.MaxPeakStackWords, Raw.PeakStackWords);
-  for (size_t I = 0, E = std::min(Shard.ArcTotals.size(),
-                                  Raw.ArcCounts.size());
-       I != E; ++I)
-    Shard.ArcTotals[I] = satAdd(Shard.ArcTotals[I], Raw.ArcCounts[I]);
-  // In a raw mincover run the only nonzero entry counts are the measured
-  // external ones (user entries are inferred from entry arcs later).
-  for (size_t I = 0, E = std::min(Shard.ExternalEntryTotals.size(),
-                                  Raw.FuncEntryCounts.size());
-       I != E; ++I)
-    Shard.ExternalEntryTotals[I] =
-        satAdd(Shard.ExternalEntryTotals[I], Raw.FuncEntryCounts[I]);
-  for (const HaltRecord &H : Raw.Halts)
-    addHalt(Shard.Halts, WeightedHalt{H.Func, H.Block, H.CallsDone, 1});
-}
-
-std::string impact::saveShard(const ProfileShard &Shard) {
-  std::string Out;
-  Out += std::string(kShardMagic) + "\n";
-  Out += "fingerprint " + std::to_string(Shard.Fingerprint) + "\n";
-  Out += "mode " + std::string(getInstrumentModeName(Shard.Mode)) + "\n";
-  Out += "epoch " + std::to_string(Shard.Epoch) + "\n";
-  Out += "weight " + std::to_string(Shard.Weight) + "\n";
-  Out += "runs " + std::to_string(Shard.Runs) + "\n";
-  Out += "il " + std::to_string(Shard.InstrTotal) + "\n";
-  Out += "external " + std::to_string(Shard.ExternalCallTotal) + "\n";
-  Out += "peak-stack " + std::to_string(Shard.MaxPeakStackWords) + "\n";
-  appendSparse(Out, "arcs", Shard.ArcTotals);
-  appendSparse(Out, "ext-entries", Shard.ExternalEntryTotals);
-  Out += "halts " + std::to_string(Shard.Halts.size()) + "\n";
-  for (const WeightedHalt &H : Shard.Halts)
-    Out += std::to_string(H.Func) + " " + std::to_string(H.Block) + " " +
-           std::to_string(H.CallsDone) + " " + std::to_string(H.Count) + "\n";
-  return Out;
-}
-
-bool impact::loadShard(std::string_view Text, ProfileShard &Out,
-                       std::string *Error) {
-  Out = ProfileShard();
-  LineReader Lines(Text);
-
-  std::string_view Line;
-  if (!Lines.next(Line) || Line != kShardMagic)
-    return fail(Error, "missing '" + std::string(kShardMagic) + "' header");
-
-  if (!readKeyed(Lines, "fingerprint", Out.Fingerprint, Error))
-    return false;
-  if (!Lines.next(Line) || !startsWith(Line, "mode ") ||
-      !parseInstrumentMode(std::string(Line.substr(5)), Out.Mode))
-    return fail(Error, "expected 'mode full|mincover'");
-  if (!readKeyed(Lines, "epoch", Out.Epoch, Error) ||
-      !readKeyed(Lines, "weight", Out.Weight, Error) ||
-      !readKeyed(Lines, "runs", Out.Runs, Error) ||
-      !readKeyed(Lines, "il", Out.InstrTotal, Error) ||
-      !readKeyed(Lines, "external", Out.ExternalCallTotal, Error) ||
-      !readKeyed(Lines, "peak-stack", Out.MaxPeakStackWords, Error))
-    return false;
-
-  if (!readSparse(Lines, "arcs", "ext-entries ", Out.ArcTotals, Error) ||
-      !readSparse(Lines, "ext-entries", "halts ", Out.ExternalEntryTotals,
-                  Error))
-    return false;
-
-  uint64_t NumHalts = 0;
-  if (!readKeyed(Lines, "halts", NumHalts, Error))
-    return false;
-  for (uint64_t I = 0; I != NumHalts; ++I) {
-    std::string_view Entry;
-    if (!Lines.next(Entry))
-      return fail(Error, "shard truncated inside 'halts' (expected " +
-                             std::to_string(NumHalts) + " records, got " +
-                             std::to_string(I) + ")");
-    WeightedHalt H;
-    // "<func> <block> <calls-done> <count>"
-    std::string_view Fields[4];
-    size_t NumFields = 0;
-    while (NumFields < 4 && !Entry.empty()) {
-      size_t Space = Entry.find(' ');
-      Fields[NumFields++] =
-          Space == std::string_view::npos ? Entry : Entry.substr(0, Space);
-      Entry = Space == std::string_view::npos
-                  ? std::string_view()
-                  : trimString(Entry.substr(Space + 1));
-    }
-    if (NumFields != 4 || !Entry.empty() || !parseInt(Fields[0], H.Func) ||
-        !parseInt(Fields[1], H.Block) || !parseInt(Fields[2], H.CallsDone) ||
-        !parseInt(Fields[3], H.Count))
-      return fail(Error, "line " + std::to_string(Lines.lineNumber()) +
-                             ": bad 'halts' record");
-    Out.Halts.push_back(H);
-  }
-  if (!std::is_sorted(Out.Halts.begin(), Out.Halts.end(), haltLess))
-    return fail(Error, "'halts' records not sorted by (func, block, calls)");
-  return true;
-}
-
-bool impact::mergeShards(ProfileShard &Acc, const ProfileShard &Shard,
-                         std::string *Error) {
-  if (Acc.Fingerprint != Shard.Fingerprint)
-    return fail(Error, "shard fingerprint mismatch: " +
-                           std::to_string(Acc.Fingerprint) + " vs " +
-                           std::to_string(Shard.Fingerprint) +
-                           " (stale shard: different module or plan)");
-  if (Acc.Mode != Shard.Mode)
-    return fail(Error,
-                "shard instrument mode mismatch: " +
-                    std::string(getInstrumentModeName(Acc.Mode)) + " vs " +
-                    std::string(getInstrumentModeName(Shard.Mode)));
-  if (Acc.Epoch != Shard.Epoch)
-    return fail(Error, "shard epoch mismatch: " + std::to_string(Acc.Epoch) +
-                           " vs " + std::to_string(Shard.Epoch));
-  if (Acc.ArcTotals.size() != Shard.ArcTotals.size() ||
-      Acc.ExternalEntryTotals.size() != Shard.ExternalEntryTotals.size())
-    return fail(Error, "shard layout mismatch despite equal fingerprints");
-
-  uint64_t W = Shard.Weight;
-  Acc.Runs = satAdd(Acc.Runs, satMul(Shard.Runs, W));
-  Acc.InstrTotal = satAdd(Acc.InstrTotal, satMul(Shard.InstrTotal, W));
-  Acc.ExternalCallTotal =
-      satAdd(Acc.ExternalCallTotal, satMul(Shard.ExternalCallTotal, W));
-  Acc.MaxPeakStackWords =
-      std::max(Acc.MaxPeakStackWords, Shard.MaxPeakStackWords);
-  for (size_t I = 0; I != Acc.ArcTotals.size(); ++I)
-    Acc.ArcTotals[I] = satAdd(Acc.ArcTotals[I],
-                              satMul(Shard.ArcTotals[I], W));
-  for (size_t I = 0; I != Acc.ExternalEntryTotals.size(); ++I)
-    Acc.ExternalEntryTotals[I] =
-        satAdd(Acc.ExternalEntryTotals[I],
-               satMul(Shard.ExternalEntryTotals[I], W));
-  for (const WeightedHalt &H : Shard.Halts)
-    addHalt(Acc.Halts,
-            WeightedHalt{H.Func, H.Block, H.CallsDone, satMul(H.Count, W)});
-  return true;
-}
-
-ProfileData impact::inferProfileFromShard(const Module &M,
-                                          const MinCoverPlan &Plan,
-                                          const ProfileShard &Shard) {
-  ExecStats Totals = inferTotals(M, Plan, Shard.ArcTotals, Shard.Halts);
-  Totals.InstrCount = Shard.InstrTotal;
-  Totals.ExternalCalls = Shard.ExternalCallTotal;
-  Totals.PeakStackWords = Shard.MaxPeakStackWords;
-  // External entries are measured, never inferred; external functions have
-  // no plan, so this never collides with an inferred count.
-  for (size_t I = 0, E = std::min(Totals.FuncEntryCounts.size(),
-                                  Shard.ExternalEntryTotals.size());
-       I != E; ++I)
-    Totals.FuncEntryCounts[I] += Shard.ExternalEntryTotals[I];
-  ProfileData Out;
-  Out.accumulateTotals(Totals, Shard.Runs);
-  return Out;
 }

@@ -35,47 +35,29 @@
 ///
 /// Sparse sections are strict: each index may appear at most once (a
 /// duplicate is rejected with a line-numbered diagnostic, never silently
-/// last-write-wins) and must be in range.
-///
-/// v2 adds profile SHARDS ("impact-profile-shard v2"): the raw
-/// minimum-coverage aggregates of a batch of runs — instrumented-arc
-/// totals, weighted halt records, and the directly measured scalars —
-/// before Kirchhoff inference. Because inference is linear in the arc
-/// counts and halt weights, shards merge exactly: inferring a profile from
-/// the merged shard equals merging the per-shard inferred profiles. A
-/// shard carries the producing plan's module fingerprint and a profiling
-/// epoch, so the merge service can reject stale shards instead of
-/// corrupting a profile.
-///
-///   impact-profile-shard v2
-///   fingerprint 1234605616436508552
-///   mode mincover
-///   epoch 7
-///   weight 1
-///   runs 12
-///   il 123456
-///   external 120
-///   peak-stack 77
-///   arcs 9          <- instrumented-arc vector; sparse "probe total" lines
-///   0 240
-///   ...
-///   ext-entries 5   <- measured external-function entry totals
-///   2 120
-///   halts 1         <- weighted halt records, one per line
-///   0 3 1 12        <- func block calls-done count
+/// last-write-wins) and must be in range. A section's declared size is
+/// bounded by kMaxProfileSectionEntries, so a corrupt header is a
+/// diagnostic rather than a multi-gigabyte allocation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IMPACT_PROFILE_PROFILEIO_H
 #define IMPACT_PROFILE_PROFILEIO_H
 
-#include "profile/MinCover.h"
 #include "profile/Profile.h"
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace impact {
+
+/// Largest size loadProfile accepts for the "sites" or "funcs" section (a
+/// module's call-site or function id space): 2^20 entries, 8 MiB of
+/// totals. The suite's largest module has 63 call sites and 29 functions
+/// after inlining. A declared size above the budget is rejected with a
+/// line-numbered diagnostic before anything is allocated.
+constexpr uint64_t kMaxProfileSectionEntries = uint64_t(1) << 20;
 
 /// Renders \p Profile in the versioned text format above.
 std::string saveProfile(const ProfileData &Profile);
@@ -94,75 +76,6 @@ bool saveProfileToFile(const std::string &Path, const ProfileData &Profile,
 /// Reads \p Path and parses it with loadProfile.
 bool loadProfileFromFile(const std::string &Path, ProfileData &Out,
                          std::string *Error = nullptr);
-
-/// One profiling shard: the raw minimum-coverage aggregates of a batch of
-/// runs (see the v2 format above). All accumulation into and between
-/// shards is overflow-saturating u64 arithmetic — a saturated total stays
-/// at UINT64_MAX rather than wrapping, so a poisoned shard can bias a
-/// merged profile upward but never make a hot arc look cold.
-struct ProfileShard {
-  /// MinCoverPlan::Fingerprint of the producing plan (module text + plan
-  /// layout). Merging rejects mismatches: a shard measured against a
-  /// different module or probe numbering is meaningless here.
-  uint64_t Fingerprint = 0;
-  InstrumentMode Mode = InstrumentMode::MinCover;
-  /// Free-form staleness token chosen by the profiling coordinator (e.g. a
-  /// deployment generation). Merging rejects mismatched epochs.
-  uint64_t Epoch = 0;
-  /// Multiplier applied to this shard's totals (and run count) when it is
-  /// merged INTO an accumulator — e.g. importance-weighting a workload
-  /// class. A shard's own stored totals are unweighted.
-  uint64_t Weight = 1;
-  uint64_t Runs = 0;
-  // Directly measured (never inferred) aggregates.
-  uint64_t InstrTotal = 0;
-  uint64_t ExternalCallTotal = 0;
-  int64_t MaxPeakStackWords = 0;
-  /// Co-tree probe totals, indexed by probe id; sized NumProbes.
-  std::vector<uint64_t> ArcTotals;
-  /// Measured entry totals for external functions, indexed by FuncId;
-  /// sized NumFuncs (zero for every non-external function).
-  std::vector<uint64_t> ExternalEntryTotals;
-  /// Pending-activation records, kept sorted by (Func, Block, CallsDone).
-  std::vector<WeightedHalt> Halts;
-
-  friend bool operator==(const ProfileShard &, const ProfileShard &) = default;
-};
-
-/// An empty shard bound to \p Plan: fingerprint copied, vectors sized.
-ProfileShard makeShard(const MinCoverPlan &Plan, uint64_t Epoch = 0,
-                       uint64_t Weight = 1);
-
-/// Folds one raw minimum-coverage run (ExecStats as produced with
-/// RunOptions::MinCover set — ArcCounts + Halts populated, site/opcode
-/// counters absent) into \p Shard. Saturating.
-void accumulateShard(ProfileShard &Shard, const ExecStats &Raw);
-
-/// Renders \p Shard in the v2 text format above.
-std::string saveShard(const ProfileShard &Shard);
-
-/// Parses a saved shard. Strict like loadProfile: versioned magic,
-/// duplicate sparse indices rejected with line numbers.
-bool loadShard(std::string_view Text, ProfileShard &Out,
-               std::string *Error = nullptr);
-
-/// Merges \p Shard into \p Acc with \p Shard's weight applied
-/// (Acc.total += Shard.total * Shard.Weight, saturating; peak stack is a
-/// max). Returns false without touching \p Acc when the shards are not
-/// mergeable: fingerprint, mode, epoch, or layout-size mismatch. Merging
-/// is order-independent up to saturation.
-bool mergeShards(ProfileShard &Acc, const ProfileShard &Shard,
-                 std::string *Error = nullptr);
-
-/// Kirchhoff-infers the full profile a fully-instrumented profiler would
-/// have accumulated over the shard's runs: inferTotals() on the arc/halt
-/// aggregates, the measured scalars overlaid, external entries added. For
-/// shards produced from the same runs, this equals the ProfileData that
-/// profileProgram(..., InstrumentMode::MinCover) accumulates — and
-/// merge-then-infer equals infer-then-merge (inference is linear), up to
-/// saturation.
-ProfileData inferProfileFromShard(const Module &M, const MinCoverPlan &Plan,
-                                  const ProfileShard &Shard);
 
 } // namespace impact
 

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The fuzz tier: deterministic token-level mutations of random MiniC
-/// programs and of printed IL, fed to the frontend, the IL reader, and
-/// the batch pipeline. The contract under corruption is narrow and
+/// programs, of printed IL and of saved profiles, fed to the frontend, the
+/// IL reader, the batch pipeline and the profile loader. The contract under corruption is narrow and
 /// absolute — every input either compiles cleanly or is rejected with a
 /// rendered diagnostic; nothing may crash, hang (all runs are
 /// step-limited), or silently accept garbage (whatever compiles must
@@ -28,6 +28,9 @@
 #include "ir/IrPrinter.h"
 #include "ir/IrReader.h"
 #include "ir/IrVerifier.h"
+#include "profile/ProfileIO.h"
+#include "profile/Profiler.h"
+#include "suite/Suite.h"
 #include "vm/Vm.h"
 
 #include "RandomProgram.h"
@@ -36,6 +39,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
 #include <string>
 
 using namespace impact;
@@ -206,6 +210,83 @@ TEST(Fuzz, BatchAgreesWithSerialOnMutatedCorpus) {
         << Jobs[I].Name;
     EXPECT_TRUE(A.Results[I].ProfileBefore == V.Results[I].ProfileBefore)
         << Jobs[I].Name;
+  }
+}
+
+/// saveProfile of every suite program's measured profile (two inputs
+/// each, on the VM): the corpus the profile-loader cases mutate.
+const std::vector<std::string> &getSuiteProfileTexts() {
+  static const std::vector<std::string> Texts = [] {
+    std::vector<std::string> Out;
+    for (const BenchmarkSpec &B : getBenchmarkSuite()) {
+      CompilationResult C = compileMiniC(B.Source, B.Name);
+      EXPECT_TRUE(C.Ok) << B.Name;
+      ProfileResult P = profileProgram(C.M, makeBenchmarkInputs(B, 2),
+                                       RunOptions(), ExecEngine::Vm);
+      EXPECT_TRUE(P.allRunsOk()) << B.Name;
+      Out.push_back(saveProfile(P.Data));
+    }
+    return Out;
+  }();
+  return Texts;
+}
+
+/// Loads a (possibly corrupted) profile text and enforces the loader's
+/// contract: it never throws, a rejection carries a diagnostic, and an
+/// accepted text saves to a text that reloads equal. Returns the
+/// diagnostic, or "" when the text was accepted.
+std::string checkProfileLoaderContract(const std::string &Text,
+                                       const std::string &Tag) {
+  ProfileData P;
+  std::string Error;
+  bool Ok = false;
+  try {
+    Ok = loadProfile(Text, P, &Error);
+  } catch (const std::exception &E) {
+    ADD_FAILURE() << Tag << ": loadProfile threw " << E.what();
+    return "threw";
+  }
+  if (!Ok) {
+    EXPECT_FALSE(Error.empty()) << Tag;
+    return Error;
+  }
+  ProfileData Reloaded;
+  EXPECT_TRUE(loadProfile(saveProfile(P), Reloaded, &Error))
+      << Tag << ": " << Error;
+  EXPECT_TRUE(Reloaded == P) << Tag;
+  return "";
+}
+
+/// The mutant of the suite profile that case \p Seed loads.
+std::string mutateSuiteProfile(unsigned Seed) {
+  const std::vector<std::string> &Texts = getSuiteProfileTexts();
+  return test::mutateProgramText(Texts[Seed % Texts.size()],
+                                 Seed * 613 + 5);
+}
+
+TEST(Fuzz, MutatedProfileNeverCrashesLoader) {
+  unsigned Accepted = 0, Rejected = 0;
+  const unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/1);
+  for (unsigned Seed = 0; Seed != Seeds; ++Seed) {
+    std::string Tag = "seed=" + std::to_string(Seed);
+    if (checkProfileLoaderContract(mutateSuiteProfile(Seed), Tag).empty())
+      ++Accepted;
+    else
+      ++Rejected;
+  }
+  EXPECT_GT(Rejected, 0u);
+  EXPECT_GT(Accepted, 0u);
+
+  // Fixed cases whose mutant declares a section far beyond the entry
+  // budget (the pool literal 2147483647 lands on the "sites" size in 8267
+  // and 10649, on the "funcs" size in 10333): the loader must reject them
+  // before allocating, whatever the seed count.
+  for (unsigned Seed : {8267u, 10333u, 10649u}) {
+    std::string Tag = "seed=" + std::to_string(Seed);
+    std::string Error =
+        checkProfileLoaderContract(mutateSuiteProfile(Seed), Tag);
+    EXPECT_NE(Error.find("exceeds the budget"), std::string::npos)
+        << Tag << ": " << Error;
   }
 }
 

@@ -6,8 +6,6 @@
 
 #include "profile/ProfileIO.h"
 
-#include "profile/MinCover.h"
-
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -153,180 +151,42 @@ TEST(ProfileIo, RejectsDuplicateSparseEntry) {
   EXPECT_EQ(Error, "line 11: duplicate 'sites' entry for index 1");
 }
 
-//===----------------------------------------------------------------------===//
-// Profile shards (v2)
-//===----------------------------------------------------------------------===//
-
-/// A module, its probe plan, and the raw mincover stats of one run per
-/// input — the ingredients every shard test needs.
-struct ShardFixture {
-  Module M;
-  MinCoverPlan Plan;
-  std::vector<ExecStats> Raw;
-
-  explicit ShardFixture(const std::vector<std::string> &Inputs) {
-    M = compileOk(test::kCallHeavyProgram);
-    Plan = buildMinCoverPlan(M);
-    for (const std::string &In : Inputs) {
-      RunOptions Opts;
-      Opts.Input = In;
-      Opts.MinCover = &Plan;
-      ExecResult R = runProgram(M, Opts);
-      EXPECT_TRUE(R.ok());
-      Raw.push_back(std::move(R.Stats));
-    }
-  }
-
-  ProfileShard shardOf(size_t Begin, size_t End, uint64_t Epoch = 0,
-                       uint64_t Weight = 1) const {
-    ProfileShard S = makeShard(Plan, Epoch, Weight);
-    for (size_t I = Begin; I != End; ++I)
-      accumulateShard(S, Raw[I]);
-    return S;
-  }
-};
-
-TEST(ProfileShardIo, EmptyShardRoundTrips) {
-  MinCoverPlan Plan;
-  ProfileShard S = makeShard(Plan, /*Epoch=*/3, /*Weight=*/2);
-  ProfileShard Loaded;
-  std::string Error;
-  ASSERT_TRUE(loadShard(saveShard(S), Loaded, &Error)) << Error;
-  EXPECT_EQ(Loaded, S);
-}
-
-TEST(ProfileShardIo, MeasuredShardRoundTripsExactly) {
-  ShardFixture F({std::string(30, 'x'), "abc", ""});
-  ProfileShard S = F.shardOf(0, F.Raw.size(), /*Epoch=*/7, /*Weight=*/3);
-  ASSERT_EQ(S.Runs, 3u);
-  ASSERT_GT(S.InstrTotal, 0u);
-
-  std::string Text = saveShard(S);
-  ProfileShard Loaded;
-  std::string Error;
-  ASSERT_TRUE(loadShard(Text, Loaded, &Error)) << Error;
-  EXPECT_EQ(Loaded, S);
-  // save -> load -> save is a fixed point, like the v1 format.
-  EXPECT_EQ(saveShard(Loaded), Text);
-}
-
-TEST(ProfileShardIo, InferFromMergedShardMatchesFullProfile) {
-  // The service contract end to end: raw runs split across shards, merged,
-  // inferred — must equal what full instrumentation measured directly.
-  std::vector<std::string> Inputs{std::string(30, 'x'), "abc", ""};
-  ShardFixture F(Inputs);
-  ProfileShard Acc = F.shardOf(0, 2);
-  ProfileShard Late = F.shardOf(2, 3);
-  std::string Error;
-  ASSERT_TRUE(mergeShards(Acc, Late, &Error)) << Error;
-
-  ProfileResult Full = test::profileInputs(F.M, Inputs);
-  ASSERT_TRUE(Full.allRunsOk());
-  EXPECT_TRUE(inferProfileFromShard(F.M, F.Plan, Acc) == Full.Data);
-}
-
-TEST(ProfileShardIo, MergeAppliesShardWeight) {
-  ShardFixture F({"weighted"});
-  ProfileShard Base = F.shardOf(0, 1);
-  ProfileShard Weighted = F.shardOf(0, 1, /*Epoch=*/0, /*Weight=*/3);
-  ProfileShard Acc = F.shardOf(0, 0); // empty, weight slot irrelevant
-  ASSERT_TRUE(mergeShards(Acc, Weighted));
-  EXPECT_EQ(Acc.Runs, 3 * Base.Runs);
-  EXPECT_EQ(Acc.InstrTotal, 3 * Base.InstrTotal);
-  for (size_t I = 0; I != Base.ArcTotals.size(); ++I)
-    EXPECT_EQ(Acc.ArcTotals[I], 3 * Base.ArcTotals[I]) << I;
-  // Peak stack is a maximum, never scaled by the weight.
-  EXPECT_EQ(Acc.MaxPeakStackWords, Base.MaxPeakStackWords);
-}
-
-TEST(ProfileShardIo, MergeSaturatesInsteadOfWrapping) {
-  MinCoverPlan Plan;
-  Plan.NumProbes = 1;
-  ProfileShard Acc = makeShard(Plan);
-  ProfileShard S = makeShard(Plan);
-  Acc.ArcTotals[0] = UINT64_MAX - 1;
-  Acc.Runs = UINT64_MAX;
-  S.ArcTotals[0] = 5;
-  S.Runs = 1;
-  ASSERT_TRUE(mergeShards(Acc, S));
-  EXPECT_EQ(Acc.ArcTotals[0], UINT64_MAX);
-  EXPECT_EQ(Acc.Runs, UINT64_MAX);
-}
-
-TEST(ProfileShardIo, MergeRejectsStaleShards) {
-  // Each staleness class must fail without touching the accumulator.
-  ShardFixture F({"stale"});
-  const ProfileShard Acc = F.shardOf(0, 1);
-
-  auto ExpectRejected = [&](ProfileShard Bad, const char *Needle) {
-    ProfileShard A = Acc;
-    std::string Error;
-    EXPECT_FALSE(mergeShards(A, Bad, &Error));
-    EXPECT_NE(Error.find(Needle), std::string::npos) << Error;
-    EXPECT_EQ(A, Acc) << "rejected merge modified the accumulator";
+TEST(ProfileIo, RejectsOversizedSection) {
+  // A section's declared size is checked against the budget before
+  // anything is allocated: a corrupt header must be a diagnostic, never
+  // std::length_error or std::bad_alloc out of the loader.
+  auto TextWithSites = [](uint64_t Size) {
+    return "impact-profile v1\n"
+           "runs 1\n"
+           "il 5\n"
+           "ct 1\n"
+           "calls 0\n"
+           "external 0\n"
+           "pointer 0\n"
+           "peak-stack 2\n"
+           "sites " +
+           std::to_string(Size) +
+           "\n"
+           "funcs 1\n"
+           "0 1\n";
   };
-
-  ProfileShard Fp = F.shardOf(0, 1);
-  Fp.Fingerprint ^= 1;
-  ExpectRejected(Fp, "fingerprint");
-
-  ProfileShard Ep = F.shardOf(0, 1);
-  Ep.Epoch = Acc.Epoch + 1;
-  ExpectRejected(Ep, "epoch");
-
-  ProfileShard Md = F.shardOf(0, 1);
-  Md.Mode = InstrumentMode::Full;
-  ExpectRejected(Md, "mode");
-
-  ProfileShard Layout = F.shardOf(0, 1);
-  ASSERT_FALSE(Layout.ArcTotals.empty());
-  Layout.ArcTotals.pop_back();
-  ExpectRejected(Layout, "layout");
-}
-
-TEST(ProfileShardIo, RejectsDuplicateArcEntry) {
-  const char *Text = "impact-profile-shard v2\n"
-                     "fingerprint 1\n"
-                     "mode mincover\n"
-                     "epoch 0\n"
-                     "weight 1\n"
-                     "runs 1\n"
-                     "il 10\n"
-                     "external 0\n"
-                     "peak-stack 0\n"
-                     "arcs 2\n"
-                     "0 5\n"
-                     "0 6\n"
-                     "ext-entries 0\n"
-                     "halts 0\n";
-  ProfileShard Out;
+  for (uint64_t Size : {UINT64_MAX, uint64_t(1) << 40,
+                        kMaxProfileSectionEntries + 1}) {
+    ProfileData Out;
+    std::string Error;
+    EXPECT_FALSE(loadProfile(TextWithSites(Size), Out, &Error)) << Size;
+    EXPECT_EQ(Error, "line 9: 'sites' size " + std::to_string(Size) +
+                         " exceeds the budget of " +
+                         std::to_string(kMaxProfileSectionEntries) +
+                         " entries");
+  }
+  // The budget itself is accepted (an 8 MiB vector, allocated once).
+  ProfileData Out;
   std::string Error;
-  EXPECT_FALSE(loadShard(Text, Out, &Error));
-  EXPECT_EQ(Error, "line 12: duplicate 'arcs' entry for index 0");
-}
-
-TEST(ProfileShardIo, RejectsWrongMagicAndUnsortedHalts) {
-  ProfileShard Out;
-  std::string Error;
-  EXPECT_FALSE(loadShard("impact-profile v1\nruns 1\n", Out, &Error));
-  EXPECT_NE(Error.find("impact-profile-shard"), std::string::npos) << Error;
-
-  const char *Unsorted = "impact-profile-shard v2\n"
-                         "fingerprint 1\n"
-                         "mode mincover\n"
-                         "epoch 0\n"
-                         "weight 1\n"
-                         "runs 2\n"
-                         "il 10\n"
-                         "external 0\n"
-                         "peak-stack 0\n"
-                         "arcs 0\n"
-                         "ext-entries 0\n"
-                         "halts 2\n"
-                         "1 0 0 1\n"
-                         "0 0 0 1\n";
-  EXPECT_FALSE(loadShard(Unsorted, Out, &Error));
-  EXPECT_NE(Error.find("not sorted"), std::string::npos) << Error;
+  EXPECT_TRUE(loadProfile(TextWithSites(kMaxProfileSectionEntries), Out,
+                          &Error))
+      << Error;
+  EXPECT_EQ(Out.getNumSites(), kMaxProfileSectionEntries);
 }
 
 } // namespace
