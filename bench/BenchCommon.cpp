@@ -73,10 +73,12 @@ void impact::bench::initBenchHarness(int argc, char **argv) {
   std::vector<cli::Flag> Flags = {
       makeJobsFlag(JobCount),
       cli::textFlag("profile-out", "DIR",
-               "save each program's profile as DIR/<name>.profile",
+               "save each program's main-table profile as\n"
+               "DIR/<name>.profile",
                ProfileOutDir),
       cli::textFlag("profile-in", "DIR",
-               "inline from saved profiles, skipping the measuring runs",
+               "inline the main table from saved profiles, skipping\n"
+               "its measuring runs",
                ProfileInDir),
       cli::textFlag("trace-out", "FILE",
                "write per-site inline decisions and findings as JSONL",
@@ -151,11 +153,17 @@ impact::bench::runSuiteExperiment(const PipelineOptions &Options,
     Jobs.push_back(std::move(Job));
   }
 
+  // --profile-out=DIR and --profile-in=DIR belong to the bench's first
+  // suite batch, its main table. Later batches (ablation sweeps) may
+  // pre-optimize differently, so their profiles describe other modules:
+  // they neither overwrite DIR nor replay from it.
+  bool FirstBatch = BatchesRun == 0;
+
   // --profile-in=DIR: drive every job from its saved profile instead of
   // re-running the interpreter. The loaded profiles must outlive the
   // batch; a deque keeps the pointers stable.
   std::deque<ProfileData> LoadedProfiles;
-  if (!ProfileInDir.empty()) {
+  if (FirstBatch && !ProfileInDir.empty()) {
     for (BatchJob &Job : Jobs) {
       std::string Path = profileFilePath(ProfileInDir, Job.Name);
       std::string Error;
@@ -176,7 +184,7 @@ impact::bench::runSuiteExperiment(const PipelineOptions &Options,
 
   // --profile-out=DIR: persist each job's measured profile for later
   // --profile-in runs.
-  if (!ProfileOutDir.empty()) {
+  if (FirstBatch && !ProfileOutDir.empty()) {
     std::error_code Ec;
     std::filesystem::create_directories(ProfileOutDir, Ec);
     for (size_t I = 0; I != Jobs.size(); ++I) {
@@ -194,16 +202,13 @@ impact::bench::runSuiteExperiment(const PipelineOptions &Options,
   // --trace-out=FILE: append every job's per-site decision trace as JSON
   // lines (truncating on the first batch of the process).
   if (!TraceOutPath.empty()) {
-    static bool TraceFileStarted = false;
-    std::ofstream Trace(TraceOutPath, TraceFileStarted
-                                          ? std::ios::app
-                                          : std::ios::trunc);
+    std::ofstream Trace(TraceOutPath,
+                        FirstBatch ? std::ios::trunc : std::ios::app);
     if (!Trace) {
       std::fprintf(stderr, "[bench] --trace-out: cannot open '%s'\n",
                    TraceOutPath.c_str());
       std::exit(1);
     }
-    TraceFileStarted = true;
     for (size_t I = 0; I != Jobs.size(); ++I) {
       if (R.Results[I].Ok)
         Trace << renderDecisionTraceJson(R.Results[I].Inline.Plan,

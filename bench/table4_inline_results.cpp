@@ -95,34 +95,23 @@ int main(int argc, char **argv) {
               "(paper: ~1%%)\n\n",
               formatPercent(100 * Calls / (Calls + Cts)).c_str());
 
-  // Ablation lattice: what the widened optimizer (opt/Peephole.h,
-  // opt/LoopInvariantCodeMotion.h) recovers on top of the
-  // classic quartet, with and without inline expansion. Pass sets are
-  // cumulative; the inline arm also runs the same set post-inline on
-  // every caller that received a body (InlineOptions::PostOpt), which is
-  // where the new passes earn their keep — the expander's parameter moves
-  // and loop-invariant callee setup are born there.
+  // Ablation lattice: what loop-invariant code motion
+  // (opt/LoopInvariantCodeMotion.h) recovers on top of the classic
+  // quartet, with and without inline expansion. The inline arm also runs
+  // the same set post-inline on every caller that received a body
+  // (InlineOptions::PostOpt), which is where LICM earns its keep — the
+  // expander's parameter moves and loop-invariant callee setup are born
+  // there.
   std::printf("Ablation: post-inline cleanup passes (cumulative; "
               "quartet = fold,jump,copy,dce)\n\n");
-  struct AblationPoint {
-    const char *Label;
-    bool Peephole;
-    bool Licm;
-  };
-  const AblationPoint Points[] = {
-      {"quartet", false, false},
-      {"+peephole", true, false},
-      {"+licm", true, true},
-  };
   TableWriter A({"passes", "inline", "static IL", "dyn IL/run",
                  "dyn CT/run"});
   // Per-program post-inline dynamic IL, for the headline delta below.
   std::vector<double> BaselineDynIl, FullDynIl;
   std::vector<std::string> ProgramNames;
-  for (const AblationPoint &P : Points) {
+  for (bool Licm : {false, true}) {
     OptOptions Passes;
-    Passes.Peephole = P.Peephole;
-    Passes.LoopInvariantCodeMotion = P.Licm;
+    Passes.LoopInvariantCodeMotion = Licm;
     for (bool Inline : {false, true}) {
       PipelineOptions Options = baseOptions();
       Options.PreOpt = Passes;
@@ -144,15 +133,16 @@ int main(int argc, char **argv) {
         StaticIl += Run.Result.After.StaticSize;
         DynIl.push_back(Run.Result.After.AvgInstrs);
         DynCt.push_back(Run.Result.After.AvgControlTransfers);
-        if (Inline && !P.Peephole) {
+        if (Inline && !Licm) {
           BaselineDynIl.push_back(Run.Result.After.AvgInstrs);
           ProgramNames.push_back(Run.Name);
         }
-        if (Inline && P.Licm)
+        if (Inline && Licm)
           FullDynIl.push_back(Run.Result.After.AvgInstrs);
       }
-      A.addRow({P.Label, Inline ? "yes" : "no", std::to_string(StaticIl),
-                formatCount(mean(DynIl)), formatCount(mean(DynCt))});
+      A.addRow({Licm ? "+licm" : "quartet", Inline ? "yes" : "no",
+                std::to_string(StaticIl), formatCount(mean(DynIl)),
+                formatCount(mean(DynCt))});
     }
   }
   std::printf("%s\n", A.render().c_str());
@@ -171,7 +161,7 @@ int main(int argc, char **argv) {
     }
     if (Best != BaselineDynIl.size())
       std::printf("largest post-inline dynamic IL reduction from "
-                  "peephole+licm: %s (%s fewer IL/run)\n",
+                  "licm: %s (%s fewer IL/run)\n",
                   ProgramNames[Best].c_str(),
                   formatPercent(BestDec).c_str());
   }

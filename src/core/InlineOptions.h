@@ -75,9 +75,9 @@ struct InlineOptions {
 
   /// Pass selection for the post-inline cleanup (meaningful only when
   /// PostInlineOptimize is set). Defaults to the classic quartet; the
-  /// table4 ablation lattice layers peephole / LICM on top to
-  /// measure what each recovers from the inliner's parameter moves and
-  /// jump scaffolding.
+  /// table4 ablation lattice layers LICM on top to measure what it
+  /// recovers from the inliner's parameter moves and loop-invariant
+  /// callee setup.
   OptOptions PostOpt;
 
   /// Seed for the random placement step of linearization.

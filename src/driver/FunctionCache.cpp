@@ -18,7 +18,7 @@ std::string FunctionDefinitionCache::makeKey(const Function &F,
   // field that changes the struct's layout; the exhaustive toggle test
   // (PipelineTests, CacheKeyCoversEveryOptOption) catches one that
   // padding hides — update both together with this fingerprint.
-  static_assert(sizeof(OptOptions) == 12,
+  static_assert(sizeof(OptOptions) == 6,
                 "OptOptions changed: update makeKey's option fingerprint "
                 "and the sizeof above");
   std::string Key;
@@ -30,10 +30,7 @@ std::string FunctionDefinitionCache::makeKey(const Function &F,
   Key += static_cast<char>('0' + Opts.CopyPropagation);
   Key += static_cast<char>('0' + Opts.DeadCodeElimination);
   Key += static_cast<char>('0' + Opts.TailRecursionElimination);
-  Key += static_cast<char>('0' + Opts.Peephole);
   Key += static_cast<char>('0' + Opts.LoopInvariantCodeMotion);
-  Key += 'i';
-  Key += std::to_string(Opts.MaxIterations);
   // Signature and body, rendered exactly (printInstr includes register
   // names, immediates, targets, callee ids, and site ids). The function
   // name is deliberately excluded: renaming cannot affect the optimizer.

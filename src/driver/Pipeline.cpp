@@ -155,9 +155,23 @@ PipelineResult runModuleAttempt(Module M,
 
   // 2. Profile on representative inputs — unless a saved profile drives
   // this compile (PipelineOptions::ProfileIn), in which case the
-  // interpreter never runs and OutputsBefore stays empty.
+  // interpreter never runs and OutputsBefore stays empty. A measured
+  // profile has exactly one slot per call site and per function, so a
+  // profile of another module shows up as a size mismatch.
   if (Options.ProfileIn) {
-    Result.ProfileBefore = *Options.ProfileIn;
+    const ProfileData &In = *Options.ProfileIn;
+    if (In.getNumSites() != M.NextSiteId ||
+        In.getNumFuncs() != M.Funcs.size()) {
+      std::string Detail =
+          "saved profile has " + std::to_string(In.getNumSites()) +
+          " sites and " + std::to_string(In.getNumFuncs()) +
+          " functions; the module has " + std::to_string(M.NextSiteId) +
+          " sites and " + std::to_string(M.Funcs.size()) + " functions";
+      failUnit(Result, Unit, "profile", "diagnostic", Detail,
+               "saved profile does not match the module: " + Detail);
+      return Result;
+    }
+    Result.ProfileBefore = In;
   } else {
     Stage = "profile";
     RunOptions Run = Options.Run;

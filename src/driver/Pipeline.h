@@ -89,7 +89,9 @@ struct PipelineOptions {
   /// (profile/ProfileIO.h). The serialization is exact, so a reloaded
   /// profile reproduces the measuring run's InlinePlan bit for bit.
   /// OutputsBefore stays empty in this mode (nothing was executed), which
-  /// makes outputsMatch() vacuously true.
+  /// makes outputsMatch() vacuously true. A profile whose site or function
+  /// count differs from the module's was measured on another module: the
+  /// unit is quarantined (stage "profile", reason "diagnostic").
   const ProfileData *ProfileIn = nullptr;
   /// When true, render the planner's per-site rulings into
   /// PipelineResult::DecisionTrace (the human table form of

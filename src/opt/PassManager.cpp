@@ -11,7 +11,6 @@
 #include "opt/DeadCodeElimination.h"
 #include "opt/JumpOptimization.h"
 #include "opt/LoopInvariantCodeMotion.h"
-#include "opt/Peephole.h"
 #include "opt/TailRecursionElimination.h"
 #include "support/CommandLine.h"
 #include "support/Stopwatch.h"
@@ -19,6 +18,11 @@
 using namespace impact;
 
 namespace {
+
+/// Sweeps of the pass sequence per function: each pass can expose work
+/// for the others, so the sequence repeats until nothing changes or this
+/// many sweeps have run.
+constexpr unsigned kIterationLimit = 4;
 
 /// Runs one pass, charging its wall time and effect to \p Timing.
 template <typename PassFn>
@@ -45,7 +49,6 @@ constexpr PassFlag Passes[] = {
     {"copy", &OptOptions::CopyPropagation},
     {"dce", &OptOptions::DeadCodeElimination},
     {"tre", &OptOptions::TailRecursionElimination},
-    {"peephole", &OptOptions::Peephole},
     {"licm", &OptOptions::LoopInvariantCodeMotion},
 };
 
@@ -89,7 +92,7 @@ bool impact::runOptimizationPipeline(Function &F, const OptOptions &Opts,
   if (Stats)
     Stats->FunctionsVisited += 1;
   bool EverChanged = false;
-  for (unsigned Iter = 0; Iter != Opts.MaxIterations; ++Iter) {
+  for (unsigned Iter = 0; Iter != kIterationLimit; ++Iter) {
     if (Stats) {
       Stats->Iterations += 1;
       Stats->InstrsProcessed += F.size();
@@ -102,16 +105,12 @@ bool impact::runOptimizationPipeline(Function &F, const OptOptions &Opts,
     if (Opts.CopyPropagation)
       Changed |= runTimed(Stats ? &Stats->CopyPropagation : nullptr, F,
                           [](Function &G) { return runCopyPropagation(G); });
-    // Folding and the peephole shrink straight-line code, jump
-    // optimization unlinks the arms a folded branch left dead, and LICM
-    // hoists from the cleaned loops so DCE can sweep what the motion
-    // exposed.
+    // Folding shrinks straight-line code, jump optimization unlinks the
+    // arms a folded branch left dead, and LICM hoists from the cleaned
+    // loops so DCE can sweep what the motion exposed.
     if (Opts.ConstantFolding)
       Changed |= runTimed(Stats ? &Stats->ConstantFolding : nullptr, F,
                           [](Function &G) { return runConstantFolding(G); });
-    if (Opts.Peephole)
-      Changed |= runTimed(Stats ? &Stats->Peephole : nullptr, F,
-                          [](Function &G) { return runPeephole(G); });
     if (Opts.JumpOptimization)
       Changed |= runTimed(Stats ? &Stats->JumpOptimization : nullptr, F,
                           [](Function &G) { return runJumpOptimization(G); });

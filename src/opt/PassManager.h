@@ -15,8 +15,7 @@
 
 namespace impact {
 
-/// Which classic optimizations to run and how often to iterate the
-/// pipeline (each pass can expose work for the others).
+/// Which classic optimizations to run.
 ///
 /// Every field here is part of a cached function body's identity:
 /// driver/FunctionCache.cpp fingerprints each one in makeKey, and its
@@ -31,13 +30,10 @@ struct OptOptions {
   /// Off by default: the paper's measurements do not include it, and it
   /// assumes C's uninitialized-local semantics (see the pass header).
   bool TailRecursionElimination = false;
-  /// The post-inline cleanup pair (opt/Peephole.h,
-  /// opt/LoopInvariantCodeMotion.h). Off by default: the paper's Table 4
-  /// baseline predates them; the ablation benches and --passes= turn
-  /// them on.
-  bool Peephole = false;
+  /// The post-inline cleanup (opt/LoopInvariantCodeMotion.h). Off by
+  /// default: the paper's Table 4 baseline predates it; the ablation
+  /// benches and --passes= turn it on.
   bool LoopInvariantCodeMotion = false;
-  unsigned MaxIterations = 4;
 
   /// Exact equality — the bench footer uses it to print the [passes]
   /// line only when --passes= moved the base pipeline off the default.
@@ -50,10 +46,9 @@ struct OptOptions {
 std::string renderOptPasses(const OptOptions &Opts);
 
 /// Parses a pass-selection spec into \p Out (cli::parseSelection's
-/// grammar over "fold", "jump", "copy", "dce", "tre", "peephole", "licm":
-/// "fold,licm" is exactly those, "all,-licm" all but one).
-/// MaxIterations is untouched. Returns false and fills \p Error (when
-/// non-null) on an unknown name, leaving \p Out untouched.
+/// grammar over "fold", "jump", "copy", "dce", "tre", "licm": "fold,licm"
+/// is exactly those, "all,-licm" all but one). Returns false and fills
+/// \p Error (when non-null) on an unknown name, leaving \p Out untouched.
 bool parseOptPasses(std::string_view Spec, OptOptions &Out,
                     std::string *Error);
 
@@ -77,7 +72,6 @@ struct OptStats {
   PassTiming TailRecursionElimination;
   PassTiming CopyPropagation;
   PassTiming ConstantFolding;
-  PassTiming Peephole;
   PassTiming JumpOptimization;
   PassTiming LoopInvariantCodeMotion;
   PassTiming DeadCodeElimination;
@@ -94,7 +88,6 @@ struct OptStats {
     TailRecursionElimination.merge(Other.TailRecursionElimination);
     CopyPropagation.merge(Other.CopyPropagation);
     ConstantFolding.merge(Other.ConstantFolding);
-    Peephole.merge(Other.Peephole);
     JumpOptimization.merge(Other.JumpOptimization);
     LoopInvariantCodeMotion.merge(Other.LoopInvariantCodeMotion);
     DeadCodeElimination.merge(Other.DeadCodeElimination);
@@ -105,9 +98,9 @@ struct OptStats {
   }
 };
 
-/// Runs the enabled passes on \p F until a fixpoint or MaxIterations.
-/// Accumulates per-pass wall time and work counters into \p Stats when
-/// non-null. Returns true on any change.
+/// Runs the enabled passes on \p F until a fixpoint, sweeping the pass
+/// sequence at most four times. Accumulates per-pass wall time and work
+/// counters into \p Stats when non-null. Returns true on any change.
 bool runOptimizationPipeline(Function &F, const OptOptions &Opts,
                              OptStats *Stats);
 inline bool runOptimizationPipeline(Function &F,

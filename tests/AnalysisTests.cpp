@@ -948,7 +948,7 @@ size_t deadStoresAfter(std::string_view Source, const OptOptions &Passes) {
 
 TEST(AnalyzePipeline, DeadStoresNeverIncreaseUnderWidenedPipeline) {
   // Pipeline-level form of the dead-store audit: suite-wide, turning on
-  // the post-inline pair (peephole, licm) on top of the quartet must
+  // the post-inline cleanup (licm) on top of the quartet must
   // never mint new dead stores. LICM in particular moves stores-to-
   // registers across blocks and DCE follows it — any liveness regression
   // in that dance shows up here as a rising count.

@@ -94,10 +94,9 @@ TEST_P(ParallelDeterminism, BatchMatchesSerialAtAnyThreadCount) {
   // the function's own identity (self-call status), not just its printed
   // body — exactly the configuration a body-keyed cache can get wrong.
   Options.PreOpt.TailRecursionElimination = (Seed % 3) == 0;
-  // Odd seeds widen the pipeline with the post-inline pair, so the cache
-  // key must separate eight pass combinations across the seed range, and
-  // LICM's preheader splicing runs under every thread count.
-  Options.PreOpt.Peephole = (Seed % 2) == 1;
+  // Odd seeds widen the pipeline with LICM, so the cache key must
+  // separate eight pass combinations across the seed range, and LICM's
+  // preheader splicing runs under every thread count.
   Options.PreOpt.LoopInvariantCodeMotion = (Seed % 2) == 1;
   if (Options.Inline.PostInlineOptimize)
     Options.Inline.PostOpt = Options.PreOpt;
@@ -196,7 +195,6 @@ TEST(ParallelDeterminism, TreWrapperDoesNotCollideWithSelfRecursion) {
 // "+licm" point, pre-opt and post-inline both).
 TEST(ParallelDeterminism, FullSuiteBatchMatchesSerial) {
   PipelineOptions Widened;
-  Widened.PreOpt.Peephole = true;
   Widened.PreOpt.LoopInvariantCodeMotion = true;
   Widened.Inline.PostInlineOptimize = true;
   Widened.Inline.PostOpt = Widened.PreOpt;

@@ -1,21 +1,20 @@
-//===- tests/PostInlineOptTests.cpp - peephole / LICM tests -------------------===//
+//===- tests/PostInlineOptTests.cpp - LICM and pass-manager tests -------------===//
 //
 // Part of the impact-inline project, distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The post-inline cleanup pair (opt/Peephole.h,
-/// opt/LoopInvariantCodeMotion.h) and the loop analysis LICM rides on
-/// (analysis/LoopInfo.h). Positive transforms, the negative fixtures
-/// each pass must refuse (trap-capable hoists, operand arity), and the
-/// PassManager plumbing (parseOptPasses, MaxIterations=0).
+/// The post-inline cleanup pass (opt/LoopInvariantCodeMotion.h) and the
+/// loop analysis it rides on (analysis/LoopInfo.h). Positive transforms,
+/// the negative fixtures the pass must refuse (trap-capable hoists,
+/// loads, irreducible loops), and the PassManager plumbing
+/// (parseOptPasses, renderOptPasses).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "opt/LoopInvariantCodeMotion.h"
 #include "opt/PassManager.h"
-#include "opt/Peephole.h"
 
 #include "analysis/LoopInfo.h"
 #include "ir/IrPrinter.h"
@@ -25,21 +24,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <limits>
-
 using namespace impact;
 using test::compileOk;
 
 namespace {
-
-size_t countOps(const Function &F, Opcode Op) {
-  size_t N = 0;
-  for (const BasicBlock &B : F.Blocks)
-    for (const Instr &I : B.Instrs)
-      N += I.Op == Op ? 1 : 0;
-  return N;
-}
 
 /// Loop depth of the block holding the first \p Op instruction, or -1 when
 /// the function has none.
@@ -69,103 +57,6 @@ void expectPreserves(PassFn Pass, const char *Source,
   ASSERT_TRUE(After.ok()) << After.TrapMessage;
   EXPECT_EQ(Before.Output, After.Output);
   EXPECT_EQ(Before.ExitCode, After.ExitCode);
-}
-
-//===----------------------------------------------------------------------===//
-// Peephole
-//===----------------------------------------------------------------------===//
-
-TEST(Peephole, FoldsAdditiveAndMultiplicativeIdentities) {
-  // x is runtime input, so constant folding alone cannot touch these; the
-  // peephole's algebraic identities must.
-  Module M = compileOk("extern int getchar();"
-                       "int main() { int x; x = getchar();"
-                       "return (x + 0) * 1; }");
-  EXPECT_TRUE(runPeephole(M));
-  const Function &Main = M.getFunction(M.MainId);
-  EXPECT_EQ(countOps(Main, Opcode::Add), 0u);
-  EXPECT_EQ(countOps(Main, Opcode::Mul), 0u);
-  ASSERT_EQ(verifyModuleText(M), "");
-  RunOptions Opts;
-  Opts.Input = "A";
-  EXPECT_EQ(runProgram(M, Opts).ExitCode, 'A');
-}
-
-TEST(Peephole, StrengthReducesPowerOfTwoMultiply) {
-  Module M = compileOk("extern int getchar();"
-                       "int main() { int x; x = getchar();"
-                       "return x * 8; }");
-  EXPECT_TRUE(runPeephole(M));
-  const Function &Main = M.getFunction(M.MainId);
-  EXPECT_EQ(countOps(Main, Opcode::Mul), 0u);
-  EXPECT_GE(countOps(Main, Opcode::Shl), 1u);
-  ASSERT_EQ(verifyModuleText(M), "");
-  RunOptions Opts;
-  Opts.Input = "A";
-  EXPECT_EQ(runProgram(M, Opts).ExitCode, 'A' * 8);
-}
-
-TEST(Peephole, LeavesNonPowerOfTwoMultiplyAlone) {
-  Module M = compileOk("extern int getchar();"
-                       "int main() { int x; x = getchar();"
-                       "return x * 6; }");
-  runPeephole(M);
-  EXPECT_EQ(countOps(M.getFunction(M.MainId), Opcode::Mul), 1u);
-}
-
-TEST(Peephole, SameRegisterOperandsFold) {
-  // x - x == 0 and x ^ x == 0 regardless of x's value; built by hand so
-  // both operands are literally the same register.
-  Module M;
-  FuncId Id = M.addFunction("main", 0, false, false);
-  Function &F = M.getFunction(Id);
-  BlockId B = F.addBlock();
-  Reg X = F.addReg(), D = F.addReg();
-  F.getBlock(B).Instrs.push_back(Instr::makeLdImm(X, 7));
-  F.getBlock(B).Instrs.push_back(
-      Instr::makeBinary(Opcode::Sub, D, X, X));
-  F.getBlock(B).Instrs.push_back(Instr::makeRet(D));
-  M.MainId = Id;
-  EXPECT_TRUE(runPeephole(F));
-  EXPECT_EQ(countOps(F, Opcode::Sub), 0u);
-  ASSERT_EQ(verifyModuleText(M), "");
-  EXPECT_EQ(runProgram(M).ExitCode, 0);
-}
-
-TEST(Peephole, DoesNotFoldTrappingDivideByMinusOne) {
-  // INT64_MIN / -1 traps (quotient overflow); folding it to a negate
-  // would erase the trap. The peephole must leave the Div in place.
-  Module M;
-  FuncId Id = M.addFunction("main", 0, false, false);
-  Function &F = M.getFunction(Id);
-  BlockId B = F.addBlock();
-  Reg A = F.addReg(), N = F.addReg(), D = F.addReg();
-  F.getBlock(B).Instrs.push_back(
-      Instr::makeLdImm(A, std::numeric_limits<int64_t>::min()));
-  F.getBlock(B).Instrs.push_back(Instr::makeLdImm(N, -1));
-  F.getBlock(B).Instrs.push_back(
-      Instr::makeBinary(Opcode::Div, D, A, N));
-  F.getBlock(B).Instrs.push_back(Instr::makeRet(D));
-  M.MainId = Id;
-  runPeephole(F);
-  EXPECT_EQ(countOps(F, Opcode::Div), 1u);
-  EXPECT_EQ(runProgram(M).St, ExecResult::Status::Trapped);
-}
-
-TEST(Peephole, KeepsOperandArityIntact) {
-  // Strength reduction rewrites Mul into LdImm+Shl; every surviving
-  // instruction must keep the operand shape the verifier demands.
-  Module M = compileOk("extern int getchar();"
-                       "int main() { int x; int y; x = getchar();"
-                       "y = x * 16 + x * 3 - (x & x);"
-                       "return y | 0; }");
-  runPeephole(M);
-  ASSERT_EQ(verifyModuleText(M), "");
-}
-
-TEST(Peephole, PreservesBehaviour) {
-  expectPreserves([](Module &M) { runPeephole(M); },
-                  test::kCallHeavyProgram, "hello world");
 }
 
 //===----------------------------------------------------------------------===//
@@ -345,22 +236,21 @@ TEST(PassManager, ParseOptPassesGrammar) {
   std::string Error;
 
   ASSERT_TRUE(parseOptPasses("all", O, &Error));
-  EXPECT_TRUE(O.Peephole);
   EXPECT_TRUE(O.LoopInvariantCodeMotion);
   EXPECT_TRUE(O.TailRecursionElimination);
 
   ASSERT_TRUE(parseOptPasses("tre,licm", O, &Error));
   EXPECT_TRUE(O.TailRecursionElimination);
   EXPECT_TRUE(O.LoopInvariantCodeMotion);
-  EXPECT_FALSE(O.Peephole);
+  EXPECT_FALSE(O.DeadCodeElimination);
   EXPECT_FALSE(O.ConstantFolding) << "positive specs start from nothing";
 
   ASSERT_TRUE(parseOptPasses("all,-licm", O, &Error));
   EXPECT_FALSE(O.LoopInvariantCodeMotion);
   EXPECT_TRUE(O.TailRecursionElimination);
 
-  ASSERT_TRUE(parseOptPasses("-peephole", O, &Error));
-  EXPECT_FALSE(O.Peephole);
+  ASSERT_TRUE(parseOptPasses("-tre", O, &Error));
+  EXPECT_FALSE(O.TailRecursionElimination);
   EXPECT_TRUE(O.ConstantFolding) << "negative-only specs start from all";
 
   EXPECT_FALSE(parseOptPasses("tre,bogus", O, &Error));
@@ -368,19 +258,17 @@ TEST(PassManager, ParseOptPassesGrammar) {
   EXPECT_NE(Error.find("licm"), std::string::npos)
       << "the error lists the valid names";
 
-  // Range facts are an analysis, not an optimizer input: "ranges" is no
-  // longer a pass name.
+  // Range facts are an analysis, not an optimizer input, and the
+  // peephole pass is deleted: neither is a pass name.
   OptOptions Before = O;
-  EXPECT_FALSE(parseOptPasses("ranges", O, &Error));
-  EXPECT_NE(Error.find("unknown optimization pass 'ranges'"),
-            std::string::npos)
-      << Error;
-  EXPECT_TRUE(O == Before) << "a rejected spec leaves the options untouched";
-
-  OptOptions Defaults;
-  Defaults.MaxIterations = 9;
-  ASSERT_TRUE(parseOptPasses("all", Defaults, &Error));
-  EXPECT_EQ(Defaults.MaxIterations, 9u) << "specs never touch iterations";
+  for (std::string Name : {"ranges", "peephole"}) {
+    EXPECT_FALSE(parseOptPasses(Name, O, &Error));
+    EXPECT_NE(Error.find("unknown optimization pass '" + Name + "'"),
+              std::string::npos)
+        << Error;
+    EXPECT_TRUE(O == Before)
+        << "a rejected spec leaves the options untouched";
+  }
 }
 
 TEST(PassManager, RenderOptPassesInvertsParse) {
@@ -389,19 +277,8 @@ TEST(PassManager, RenderOptPassesInvertsParse) {
   ASSERT_TRUE(parseOptPasses("fold,tre,licm", O, &Error));
   EXPECT_EQ(renderOptPasses(O), "fold,tre,licm");
   ASSERT_TRUE(parseOptPasses(
-      "-fold,-jump,-copy,-dce,-tre,-peephole,-licm", O, &Error));
+      "-fold,-jump,-copy,-dce,-tre,-licm", O, &Error));
   EXPECT_EQ(renderOptPasses(O), "none");
-}
-
-TEST(PassManager, ZeroIterationsIsANoOp) {
-  Module M = compileOk(test::kCallHeavyProgram);
-  std::string Before = printModule(M);
-  OptOptions O;
-  std::string Error;
-  ASSERT_TRUE(parseOptPasses("all", O, &Error));
-  O.MaxIterations = 0;
-  EXPECT_FALSE(runOptimizationPipeline(M, O));
-  EXPECT_EQ(printModule(M), Before);
 }
 
 TEST(PassManager, FullPipelineWithNewPassesPreservesBehaviour) {
