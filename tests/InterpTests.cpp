@@ -404,6 +404,30 @@ TEST(Interp, StepLimitStopsRunawayLoop) {
   EXPECT_EQ(R.St, ExecResult::Status::StepLimitExceeded);
 }
 
+TEST(Interp, StepLimitCountsExactly) {
+  // The instruction that hits the limit never executes: a run stopped at
+  // StepLimit = N has executed exactly N instructions, in either mode.
+  Module M = compileOk("int main() { while (1) { } return 0; }");
+  MinCoverPlan Plan = buildMinCoverPlan(M);
+  for (uint64_t Limit : {1000ull, 0ull}) {
+    SCOPED_TRACE("limit " + std::to_string(Limit));
+    RunOptions Opts;
+    Opts.StepLimit = Limit;
+    ExecResult Full = runProgram(M, Opts);
+    EXPECT_EQ(Full.St, ExecResult::Status::StepLimitExceeded);
+    EXPECT_EQ(Full.Stats.InstrCount, Limit);
+    uint64_t Histogram = 0;
+    for (uint64_t C : Full.Stats.OpcodeCounts)
+      Histogram += C;
+    EXPECT_EQ(Histogram, Limit);
+
+    Opts.MinCover = &Plan;
+    ExecResult Mc = runProgram(M, Opts);
+    EXPECT_EQ(Mc.St, ExecResult::Status::StepLimitExceeded);
+    EXPECT_EQ(Mc.Stats.InstrCount, Limit);
+  }
+}
+
 TEST(Interp, StackOverflowTraps) {
   Module M = compileOk("int down(int n) { return down(n + 1); }"
                        "int main() { return down(0); }");
