@@ -121,8 +121,9 @@ struct Executor {
         if (W.size() < 2)
           return parseError(LineNo, "input needs '<program> [text]'");
         // The input text is everything after the program name, verbatim
-        // (minus the surrounding whitespace trim).
-        size_t After = Line.find(W[1]) + W[1].size();
+        // (minus the surrounding whitespace trim). The name is searched
+        // for past the verb, which may contain it ("input t ...").
+        size_t After = Line.find(W[1], Verb.size()) + W[1].size();
         std::string Text(trimString(Line.substr(After)));
         std::vector<RunInput> Inputs;
         if (!appendInput(W[1], Text, Inputs, Error))

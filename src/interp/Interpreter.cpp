@@ -266,36 +266,41 @@ private:
       reg(Top.RetDst) = Value;
   }
 
-  /// The dispatch loop, compiled twice: MC=false is the full-instrumentation
-  /// walker (byte-for-byte the PR 5 oracle), MC=true the minimum-coverage
-  /// variant that drops the per-step opcode histogram and per-arc counter
-  /// bumps in favour of co-tree probes.
-  template <bool MC> void execLoopImpl() {
-    uint64_t Steps = 0;
-    uint64_t *Arc = MC ? Result.Stats.ArcCounts.data() : nullptr;
-    while (!Halted) {
-      const Function &F = M.getFunction(CurFunc);
-      const BasicBlock &B = F.getBlock(CurBlock);
-      assert(CurIndex < B.Instrs.size() && "fell off a basic block");
-      const Instr &I = B.Instrs[CurIndex];
+  /// The current block's instructions.
+  const Instr *blockInstrs() const {
+    return M.getFunction(CurFunc).getBlock(CurBlock).Instrs.data();
+  }
 
-      if (++Steps > Opts.StepLimit) {
-        // The instruction that hit the limit never executed; Steps has
-        // counted it, InstrCount must not.
-        if (MC)
-          Result.Stats.InstrCount += Steps - 1;
+  /// The dispatch loop, compiled twice: MC=false is the full-instrumentation
+  /// walker (the oracle), MC=true the minimum-coverage variant that drops
+  /// the per-step opcode histogram and per-arc counter bumps in favour of
+  /// co-tree probes. Hot state lives in locals, where register stores cannot
+  /// alias it; only a transfer of control (Jump, CondBr, Call/CallPtr, Ret)
+  /// re-seats the block pointer.
+  template <bool MC> void execLoopImpl() {
+    const uint64_t StepLimit = Opts.StepLimit;
+    ICacheSim *const ICache = Opts.ICache;
+    uint64_t *const Opcodes = MC ? nullptr : Result.Stats.OpcodeCounts.data();
+    uint64_t *const Arc = MC ? Result.Stats.ArcCounts.data() : nullptr;
+    const Instr *Block = blockInstrs();
+    // Counts executed instructions only: the one that would exceed the
+    // limit never runs. InstrCount is derived from it at loop exit.
+    uint64_t Steps = 0;
+    while (!Halted) {
+      assert(CurIndex <
+                 M.getFunction(CurFunc).getBlock(CurBlock).Instrs.size() &&
+             "fell off a basic block");
+      const Instr &I = Block[CurIndex];
+      if (Steps == StepLimit) {
         Result.St = ExecResult::Status::StepLimitExceeded;
         Result.TrapMessage = "step limit exceeded";
-        return;
+        break;
       }
-      // Minimum coverage derives InstrCount from the step counter at loop
-      // exit instead of bumping both per step.
-      if (!MC) {
-        ++Result.Stats.InstrCount;
-        ++Result.Stats.OpcodeCounts[static_cast<size_t>(I.Op)];
-      }
-      if (Opts.ICache)
-        Opts.ICache->access(Layout.getAddress(CurFunc, CurBlock, CurIndex));
+      ++Steps;
+      if (!MC)
+        ++Opcodes[static_cast<size_t>(I.Op)];
+      if (ICache)
+        ICache->access(Layout.getAddress(CurFunc, CurBlock, CurIndex));
 
       switch (I.Op) {
         // The unary, binary and compare operators: one case per opcode,
@@ -364,6 +369,7 @@ private:
       case Opcode::Call:
       case Opcode::CallPtr:
         execCall(I);
+        Block = blockInstrs();
         break;
       case Opcode::Jump:
         if (MC) {
@@ -374,6 +380,7 @@ private:
         }
         CurBlock = I.Target;
         CurIndex = 0;
+        Block = blockInstrs();
         break;
       case Opcode::CondBr: {
         bool Taken = reg(I.Src1) != 0;
@@ -391,6 +398,7 @@ private:
         }
         CurBlock = Taken ? I.Target : I.Target2;
         CurIndex = 0;
+        Block = blockInstrs();
         break;
       }
       case Opcode::Ret:
@@ -399,12 +407,12 @@ private:
             ++Arc[P];
         }
         execRet(I);
+        Block = blockInstrs();
         break;
       }
     }
 
-    if (MC)
-      Result.Stats.InstrCount += Steps;
+    Result.Stats.InstrCount = Steps;
 
     if (Result.St == ExecResult::Status::StepLimitExceeded)
       return;

@@ -620,31 +620,8 @@ TEST(CompileServer, DuplicateDefinitionFailsTheLinkAndRecovers) {
 // The request script surface.
 //===----------------------------------------------------------------------===//
 
-std::string makeScript(bool WithStats) {
-  std::string Script;
-  Script += "# a server session: two programs, one edit, one targeted\n";
-  Script += "# recompile\n";
-  Script += std::string("unit one <<END\n") + test::kCallHeavyProgram +
-            "\nEND\n";
-  Script += "program one = one\n";
-  Script += "input one abcd\n";
-  Script += "input one\n";
-  Script += std::string("unit two <<END\n") + test::kRecursiveProgram +
-            "\nEND\n";
-  Script += "program two = two\n";
-  Script += "input two ab\n";
-  Script += "recompile\n";
-  Script += std::string("replace one <<END\n") + test::kPointerCallProgram +
-            "\nEND\n";
-  Script += "recompile one\n";
-  if (WithStats)
-    Script += "stats\n";
-  Script += "recompile\n";
-  return Script;
-}
-
 TEST(ServerScript, ReplayIsDeterministic) {
-  std::string Script = makeScript(/*WithStats=*/true);
+  std::string Script = test::makeServerScript(/*WithStats=*/true);
   std::string Transcripts[2];
   for (std::string &Transcript : Transcripts) {
     ServerOptions Options;
@@ -678,7 +655,7 @@ TEST(ServerScript, ReplayIsDeterministic) {
   // The counter lines are thread-count independent: a 4-thread server
   // replays the same script (minus the hit/miss-split-bearing stats
   // line) to the same transcript.
-  std::string NoStats = makeScript(/*WithStats=*/false);
+  std::string NoStats = test::makeServerScript(/*WithStats=*/false);
   std::string Reference;
   for (unsigned Jobs : {1u, 4u}) {
     ServerOptions Options;
@@ -692,6 +669,28 @@ TEST(ServerScript, ReplayIsDeterministic) {
     else
       EXPECT_EQ(R.Transcript, Reference) << "jobs=" << Jobs;
   }
+}
+
+TEST(ServerScript, InputTextStartsAfterTheProgramName) {
+  // A program name that also occurs inside the verb ("t" in "input") must
+  // not shift where the input text starts.
+  ServerOptions Options;
+  CompileServer Server(Options);
+  ServerScriptResult R = runServerScript(
+      Server, "unit t <<E\n"
+              "extern int getchar();\n"
+              "extern int putchar(int c);\n"
+              "int main() { int c; c = getchar();\n"
+              "  while (c >= 0) { putchar(c); c = getchar(); }\n"
+              "  return 0; }\n"
+              "E\n"
+              "program t = t\n"
+              "input t hello\n"
+              "recompile\n");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  const PipelineResult *Result = Server.getResult("t");
+  ASSERT_NE(Result, nullptr) << R.Transcript;
+  EXPECT_EQ(Result->OutputsBefore, std::vector<std::string>{"hello"});
 }
 
 TEST(ServerScript, MalformedScriptsAreRejectedWithTheOffendingLine) {
@@ -711,9 +710,7 @@ TEST(ServerScript, MalformedScriptsAreRejectedWithTheOffendingLine) {
 
   // Request-level failures do NOT stop the script: they become [error]
   // transcript lines, like any quarantined unit.
-  ServerScriptResult Dup = runServerScript(
-      Server, "unit u <<E\nint f() { return 1; }\nE\n"
-              "unit u <<E\nint f() { return 2; }\nE\n");
+  ServerScriptResult Dup = runServerScript(Server, test::kDuplicateUnitScript);
   EXPECT_TRUE(Dup.Ok) << Dup.Error;
   EXPECT_NE(Dup.Transcript.find("[error]"), std::string::npos)
       << Dup.Transcript;

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The fuzz tier: deterministic token-level mutations of random MiniC
-/// programs, of printed IL and of saved profiles, fed to the frontend, the
-/// IL reader, the batch pipeline and the profile loader. The contract under corruption is narrow and
-/// absolute — every input either compiles cleanly or is rejected with a
-/// rendered diagnostic; nothing may crash, hang (all runs are
+/// programs, of printed IL, of saved profiles and of compile-server request
+/// scripts, fed to the frontend, the IL reader, the batch pipeline, the
+/// profile loader and the script reader. The contract under corruption is
+/// narrow and absolute — every input either compiles cleanly or is rejected
+/// with a rendered diagnostic; nothing may crash, hang (all runs are
 /// step-limited), or silently accept garbage (whatever compiles must
 /// still verify and execute within limits or trap cleanly).
 ///
@@ -22,7 +23,9 @@
 #include "analysis/Analyzer.h"
 #include "driver/BatchPipeline.h"
 #include "driver/Compilation.h"
+#include "driver/CompileServer.h"
 #include "driver/Pipeline.h"
+#include "driver/ServerScript.h"
 #include "interp/Engine.h"
 #include "interp/Interpreter.h"
 #include "ir/IrPrinter.h"
@@ -288,6 +291,49 @@ TEST(Fuzz, MutatedProfileNeverCrashesLoader) {
     EXPECT_NE(Error.find("exceeds the budget"), std::string::npos)
         << Tag << ": " << Error;
   }
+}
+
+/// Replays a (possibly corrupted) request script against a fresh server
+/// and enforces the script reader's contract: nothing escapes
+/// runServerScript, and a rejected script names its offending line.
+/// Returns true when the script ran to its end.
+bool checkServerScriptContract(const std::string &Script,
+                               const std::string &Tag) {
+  ServerOptions Options;
+  Options.Pipeline.Run.StepLimit = 200000;
+  CompileServer Server(Options);
+  ServerScriptResult R;
+  try {
+    R = runServerScript(Server, Script);
+  } catch (const std::exception &E) {
+    ADD_FAILURE() << Tag << ": runServerScript threw " << E.what();
+    return false;
+  }
+  if (!R.Ok) {
+    EXPECT_EQ(R.Error.rfind("line ", 0), 0u) << Tag << ": " << R.Error;
+    return false;
+  }
+  return true;
+}
+
+TEST(Fuzz, MutatedServerScriptNeverCrashes) {
+  // The server tier's request scripts: a full session (units, programs,
+  // inputs, an edit, targeted and full recompiles, stats) and one with a
+  // request-level failure.
+  const std::string Scripts[] = {test::makeServerScript(/*WithStats=*/true),
+                                 test::kDuplicateUnitScript};
+  unsigned Ran = 0, Rejected = 0;
+  const unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/1);
+  for (unsigned Seed = 0; Seed != Seeds; ++Seed) {
+    std::string Mutant =
+        test::mutateProgramText(Scripts[Seed % 2], Seed * 389 + 11);
+    if (checkServerScriptContract(Mutant, "seed=" + std::to_string(Seed)))
+      ++Ran;
+    else
+      ++Rejected;
+  }
+  EXPECT_GT(Ran, 0u);
+  EXPECT_GT(Rejected, 0u);
 }
 
 TEST(Fuzz, MutatorIsDeterministicAndProductive) {

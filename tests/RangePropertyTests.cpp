@@ -27,7 +27,6 @@
 #include "ir/IrVerifier.h"
 #include "opt/PassManager.h"
 #include "suite/Suite.h"
-#include "support/Hashing.h"
 #include "vm/Bytecode.h"
 #include "vm/Vm.h"
 
@@ -35,8 +34,6 @@
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 using namespace impact;
 
@@ -269,14 +266,6 @@ void appendFactFingerprint(const Module &M, std::string &Out) {
   Out += analyzeModule(M, Rules).renderText();
 }
 
-std::string renderHash(const Hash128 &H) {
-  char Buf[33];
-  std::snprintf(Buf, sizeof(Buf), "%016llx%016llx",
-                static_cast<unsigned long long>(H.Hi),
-                static_cast<unsigned long long>(H.Lo));
-  return Buf;
-}
-
 TEST(RangeSuite, FactsBitIdenticalToSeed) {
   // Pinned digests of every fact the range layer produces, one per
   // corpus. A change to the analysis's cost (solve count, buffers, who
@@ -313,9 +302,12 @@ TEST(RangeSuite, FactsBitIdenticalToSeed) {
     Corpus += "== seed " + std::to_string(Seed) + "\n";
     appendFactFingerprint(M, Corpus);
   }
-  EXPECT_EQ(renderHash(hash128(PreOpt)), "fe7d871c82eb1fe984fb6eb0d859dbf9");
-  EXPECT_EQ(renderHash(hash128(Server)), "692ba0756995d5eddcd76f1ab85abd60");
-  EXPECT_EQ(renderHash(hash128(Corpus)), "28779cf2bf9108ada471327bde142944");
+  EXPECT_EQ(test::renderHash(hash128(PreOpt)),
+            "fe7d871c82eb1fe984fb6eb0d859dbf9");
+  EXPECT_EQ(test::renderHash(hash128(Server)),
+            "692ba0756995d5eddcd76f1ab85abd60");
+  EXPECT_EQ(test::renderHash(hash128(Corpus)),
+            "28779cf2bf9108ada471327bde142944");
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 using namespace impact;
@@ -23,6 +24,14 @@ unsigned test::getFuzzSeedCount(unsigned Floor) {
     ADD_FAILURE() << "IMPACT_FUZZ_SEEDS must be a positive integer, got '"
                   << Env << "'";
   return std::max(Count, Floor);
+}
+
+std::string test::renderHash(const Hash128 &H) {
+  char Buf[33];
+  std::snprintf(Buf, sizeof(Buf), "%016llx%016llx",
+                static_cast<unsigned long long>(H.Hi),
+                static_cast<unsigned long long>(H.Lo));
+  return Buf;
 }
 
 Module test::compileOk(std::string_view Source, bool RequireMain) {
@@ -170,3 +179,30 @@ int main() {
   return 0;
 }
 )MC";
+
+std::string test::makeServerScript(bool WithStats) {
+  std::string Script;
+  Script += "# a server session: two programs, one edit, one targeted\n";
+  Script += "# recompile\n";
+  Script += std::string("unit one <<END\n") + test::kCallHeavyProgram +
+            "\nEND\n";
+  Script += "program one = one\n";
+  Script += "input one abcd\n";
+  Script += "input one\n";
+  Script += std::string("unit two <<END\n") + test::kRecursiveProgram +
+            "\nEND\n";
+  Script += "program two = two\n";
+  Script += "input two ab\n";
+  Script += "recompile\n";
+  Script += std::string("replace one <<END\n") + test::kPointerCallProgram +
+            "\nEND\n";
+  Script += "recompile one\n";
+  if (WithStats)
+    Script += "stats\n";
+  Script += "recompile\n";
+  return Script;
+}
+
+const char *const test::kDuplicateUnitScript =
+    "unit u <<E\nint f() { return 1; }\nE\n"
+    "unit u <<E\nint f() { return 2; }\nE\n";

@@ -10,6 +10,7 @@
 #include "driver/Compilation.h"
 #include "interp/Interpreter.h"
 #include "profile/Profiler.h"
+#include "support/Hashing.h"
 
 #include <string>
 #include <string_view>
@@ -42,6 +43,10 @@ ProfileResult profileInputs(const Module &M,
 /// the tier's \p Floor.
 unsigned getFuzzSeedCount(unsigned Floor);
 
+/// \p H as 32 lowercase hex digits, high half first: the form pinned
+/// digests are committed in.
+std::string renderHash(const Hash128 &H);
+
 /// A tiny call-heavy program used across many tests: main loops N times
 /// (driven by the input length) calling helpers.
 extern const char *const kCallHeavyProgram;
@@ -52,6 +57,15 @@ extern const char *const kRecursiveProgram;
 
 /// A program with calls through pointers and an external call.
 extern const char *const kPointerCallProgram;
+
+/// A compile-server request script over the three programs above: two
+/// programs, a full recompile, one edit, a targeted recompile, optional
+/// cache counters, and a final recompile (see driver/ServerScript.h).
+std::string makeServerScript(bool WithStats);
+
+/// A request script whose second `unit` duplicates the first: a
+/// request-level failure that must become an `[error]` line.
+extern const char *const kDuplicateUnitScript;
 
 } // namespace test
 } // namespace impact
