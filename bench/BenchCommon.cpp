@@ -45,13 +45,6 @@ std::string profileFilePath(const std::string &Dir, const std::string &Name) {
   return (std::filesystem::path(Dir) / (Name + ".profile")).string();
 }
 
-/// The function-definition cache shared by every suite batch this bench
-/// runs (ablation sweeps hit it across configurations).
-FunctionDefinitionCache &getSharedDefinitionCache() {
-  static FunctionDefinitionCache Cache;
-  return Cache;
-}
-
 } // namespace
 
 cli::Flag impact::bench::makeJobsFlag(unsigned &Target) {
@@ -179,7 +172,6 @@ impact::bench::runSuiteExperiment(const PipelineOptions &Options,
 
   BatchOptions Batch;
   Batch.Jobs = JobCount;
-  Batch.ExternalCache = &getSharedDefinitionCache();
   BatchResult R = runBatchPipeline(Jobs, Batch);
 
   // --profile-out=DIR: persist each job's measured profile for later
@@ -282,7 +274,6 @@ impact::bench::runSuiteExperiment(const PipelineOptions &Options,
 }
 
 std::string impact::bench::renderBenchFooter() {
-  FunctionCacheStats Cache = getSharedDefinitionCache().getStats();
   std::string Out;
   Out += "[batch] " + std::to_string(BatchesRun) + " suite batch(es), " +
          std::to_string(LastThreadsUsed) + " thread(s): " +
@@ -291,11 +282,7 @@ std::string impact::bench::renderBenchFooter() {
   if (TotalWallSeconds > 0.0)
     Out += " (speedup " +
            formatDouble(TotalCpuSeconds / TotalWallSeconds, 2) + "x)";
-  Out += "\n[cache] " + std::to_string(Cache.Hits) + " hits / " +
-         std::to_string(Cache.Misses) + " misses (" +
-         formatPercent(Cache.getHitRate() * 100.0) + "), " +
-         std::to_string(Cache.Entries) + " entries, " +
-         std::to_string(Cache.InstrsServed) + " cached IL served\n";
+  Out += "\n";
   // The engine, instrument and passes lines name settings that differ
   // from the PipelineOptions defaults, so default footers stay unchanged.
   const PipelineOptions Defaults;

@@ -10,11 +10,9 @@
 /// suite and hands each bench the per-benchmark PipelineResult.
 ///
 /// All suite experiments go through driver/BatchPipeline: the 12 programs
-/// run `--jobs` pipelines at a time (default: one per hardware thread) and
-/// share one process-wide function-definition cache, so an ablation sweep
-/// that recompiles the suite per configuration point pays the pre-opt cost
-/// once. Results are bit-identical to the serial pipeline at any job
-/// count; see the ParallelDeterminism property test.
+/// run `--jobs` pipelines at a time (default: one per hardware thread).
+/// Results are bit-identical to the serial pipeline at any job count; see
+/// the ParallelDeterminism property test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,10 +67,9 @@ cli::Flag makeJobsFlag(unsigned &Jobs);
 std::vector<SuiteRun> runSuiteExperiment(const PipelineOptions &Options,
                                          unsigned RunsOverride = 0);
 
-/// Timing/cache footer for the batches run so far: wall vs cpu seconds,
-/// realized parallelism, definition-cache hit counters, and one
-/// "[failed]" line per quarantined unit. Benches print it after their
-/// tables.
+/// Timing footer for the batches run so far: wall vs cpu seconds,
+/// realized parallelism, and one "[failed]" line per quarantined unit.
+/// Benches print it after their tables.
 std::string renderBenchFooter();
 
 /// Appends printf-formatted text to \p Out (the JSON emitters' workhorse).

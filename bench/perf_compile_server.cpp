@@ -79,9 +79,8 @@ PhaseNumbers timedRecompile(CompileServer &Server) {
 }
 
 /// The cold/warm-edit experiment. Returns 0 on success and fills the
-/// phase numbers and the server's final cache counters.
-int runExperiment(PhaseNumbers &Cold, PhaseNumbers &WarmEdit,
-                  FunctionCacheStats &FinalCache) {
+/// phase numbers.
+int runExperiment(PhaseNumbers &Cold, PhaseNumbers &WarmEdit) {
   size_t Programs = getBenchmarkSuite().size();
   CompileServer Server(ServerOpts);
   if (!loadSuite(Server))
@@ -113,7 +112,6 @@ int runExperiment(PhaseNumbers &Cold, PhaseNumbers &WarmEdit,
                  (unsigned long long)WarmEdit.Stats.TouchedUnits);
     return 1;
   }
-  FinalCache = Server.getCacheStats();
   return 0;
 }
 
@@ -133,8 +131,7 @@ void appendPhaseJson(std::string &Out, const char *Name,
 
 int writeBenchJson(const std::string &Path) {
   PhaseNumbers Cold, WarmEdit;
-  FunctionCacheStats Cache;
-  if (int Rc = runExperiment(Cold, WarmEdit, Cache))
+  if (int Rc = runExperiment(Cold, WarmEdit))
     return Rc;
 
   std::string Json = "{\n  \"bench\": \"server\",\n";
@@ -142,13 +139,7 @@ int writeBenchJson(const std::string &Path) {
   appendPhaseJson(Json, "cold", Cold, /*WithClean=*/false);
   Json += ",\n";
   appendPhaseJson(Json, "warm_edit", WarmEdit, /*WithClean=*/true);
-  Json += ",\n";
-  appendFormat(Json,
-               "  \"cache\": {\"hits\": %llu, \"misses\": %llu, "
-               "\"entries\": %llu}\n}\n",
-               (unsigned long long)Cache.Hits,
-               (unsigned long long)Cache.Misses,
-               (unsigned long long)Cache.Entries);
+  Json += "\n}\n";
 
   std::string Error;
   if (!writeFileAtomic(Path, Json, &Error)) {
@@ -210,8 +201,7 @@ int main(int argc, char **argv) {
 
   // No flags: run the experiment and print the numbers.
   PhaseNumbers Cold, WarmEdit;
-  FunctionCacheStats Cache;
-  if (int Rc = runExperiment(Cold, WarmEdit, Cache))
+  if (int Rc = runExperiment(Cold, WarmEdit))
     return Rc;
   std::printf("cold      %.3fs  touched=%llu recompiled=%llu\n",
               Cold.WallSeconds,
@@ -222,9 +212,5 @@ int main(int argc, char **argv) {
               (unsigned long long)WarmEdit.Stats.TouchedUnits,
               (unsigned long long)WarmEdit.Stats.RecompiledPrograms,
               (unsigned long long)WarmEdit.Stats.CleanPrograms);
-  std::printf("cache     hits=%llu misses=%llu entries=%llu\n",
-              (unsigned long long)Cache.Hits,
-              (unsigned long long)Cache.Misses,
-              (unsigned long long)Cache.Entries);
   return 0;
 }

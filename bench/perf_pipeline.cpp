@@ -263,16 +263,14 @@ BENCHMARK(BM_AnalyzeWholeSuite)->Unit(benchmark::kMillisecond);
 // The headline batch measurement: the whole 12-program experiment
 // (compile → profile → inline → re-profile per program) at increasing
 // worker counts. Wall-clock time should fall roughly linearly up to the
-// core count; the cache counters show the shared function-definition
-// cache working across programs. Results are bit-identical at every
-// thread count (the ParallelDeterminism property test enforces this).
+// core count. Results are bit-identical at every thread count (the
+// ParallelDeterminism property test enforces this).
 void BM_BatchPipelineSuite(benchmark::State &State) {
   unsigned Threads = static_cast<unsigned>(State.range(0));
   ExecEngine Engine = engineForArg(State.range(1));
   std::vector<BatchJob> Jobs = makeSuiteJobs(/*Runs=*/2);
   for (BatchJob &Job : Jobs)
     Job.Options.Engine = Engine;
-  uint64_t Hits = 0, Misses = 0;
   double CpuSeconds = 0.0, ProfileSeconds = 0.0;
   for (auto _ : State) {
     BatchOptions Options;
@@ -282,16 +280,12 @@ void BM_BatchPipelineSuite(benchmark::State &State) {
       State.SkipWithError("batch pipeline job failed");
       return;
     }
-    Hits += R.Aggregate.CacheHits;
-    Misses += R.Aggregate.CacheMisses;
     CpuSeconds += R.getCpuSeconds();
     ProfileSeconds +=
         R.Aggregate.ProfileSeconds + R.Aggregate.ReProfileSeconds;
     benchmark::DoNotOptimize(R.Results.size());
   }
   State.SetLabel(getEngineName(Engine));
-  State.counters["cache_hits"] = static_cast<double>(Hits);
-  State.counters["cache_misses"] = static_cast<double>(Misses);
   State.counters["cpu_s_per_batch"] =
       CpuSeconds / static_cast<double>(State.iterations());
   State.counters["profile_s_per_batch"] =
@@ -306,49 +300,6 @@ BENCHMARK(BM_BatchPipelineSuite)
     ->Args({4, 1})
     ->Args({8, 1})
     ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The ablation-sweep shape: the same suite recompiled many times (here,
-// once per iteration). Arg(1) keeps one function-definition cache across
-// iterations — after the first, every pre-opt body is served from cache;
-// Arg(0) runs each job through the serial runPipeline, which attaches no
-// cache.
-void BM_SuiteSweepDefinitionCache(benchmark::State &State) {
-  bool UseCache = State.range(0) != 0;
-  std::vector<BatchJob> Jobs = makeSuiteJobs(/*Runs=*/2);
-  FunctionDefinitionCache Cache;
-  uint64_t Hits = 0, Misses = 0;
-  for (auto _ : State) {
-    if (!UseCache) {
-      for (const BatchJob &Job : Jobs) {
-        PipelineResult R =
-            runPipeline(Job.Source, Job.Name, Job.Inputs, Job.Options);
-        if (!R.Ok) {
-          State.SkipWithError("pipeline job failed");
-          return;
-        }
-        benchmark::DoNotOptimize(R.Ok);
-      }
-      continue;
-    }
-    BatchOptions Options;
-    Options.Jobs = 1;
-    Options.ExternalCache = &Cache;
-    BatchResult R = runBatchPipeline(Jobs, Options);
-    if (!R.allOk()) {
-      State.SkipWithError("batch pipeline job failed");
-      return;
-    }
-    Hits += R.Aggregate.CacheHits;
-    Misses += R.Aggregate.CacheMisses;
-    benchmark::DoNotOptimize(R.Results.size());
-  }
-  State.counters["cache_hits"] = static_cast<double>(Hits);
-  State.counters["cache_misses"] = static_cast<double>(Misses);
-}
-BENCHMARK(BM_SuiteSweepDefinitionCache)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//

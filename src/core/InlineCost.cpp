@@ -25,8 +25,6 @@ const char *impact::getCostVerdictName(CostVerdict V) {
     return "stack-hazard";
   case CostVerdict::LowWeight:
     return "low-weight";
-  case CostVerdict::CalleeTooLarge:
-    return "callee-too-large";
   case CostVerdict::BudgetExceeded:
     return "budget-exceeded";
   }
@@ -68,7 +66,6 @@ CostResult impact::computeArcCost(const SiteInfo &Site, const CallGraph &G,
   DecisionNumbers &N = Result.Numbers;
   N.Weight = Site.Weight;
   N.WeightThreshold = Options.MinArcWeight;
-  N.MaxCalleeSize = Options.MaxCalleeSize;
   N.ProgramSize = Est.ProgramSize;
   N.ProgramSizeBudget = Est.ProgramSizeBudget;
   N.StackBound = Options.StackBound;
@@ -115,9 +112,6 @@ CostResult impact::computeArcCost(const SiteInfo &Site, const CallGraph &G,
   // Weight threshold.
   if (Site.Weight < Options.MinArcWeight)
     return Reject(CostVerdict::LowWeight);
-
-  if (Options.MaxCalleeSize != 0 && N.CalleeSize > Options.MaxCalleeSize)
-    return Reject(CostVerdict::CalleeTooLarge);
 
   // Code explosion hazard (§2.3.1).
   if (Est.ProgramSize + N.CalleeSize > Est.ProgramSizeBudget)

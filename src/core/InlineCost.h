@@ -50,8 +50,6 @@ enum class CostVerdict {
   StackHazard,
   /// Arc weight below MinArcWeight.
   LowWeight,
-  /// Callee body larger than MaxCalleeSize.
-  CalleeTooLarge,
   /// Expansion would push the program past the size budget.
   BudgetExceeded,
 };
@@ -87,9 +85,8 @@ struct DecisionNumbers {
   /// Arc weight vs. the weight threshold.
   double Weight = 0.0;
   double WeightThreshold = 0.0;
-  /// Callee size estimate vs. the per-callee cap (0 = uncapped).
+  /// Callee size estimate (the IL an expansion adds).
   uint64_t CalleeSize = 0;
-  uint64_t MaxCalleeSize = 0;
   /// Whole-program size estimate before this arc vs. the hard budget; an
   /// accepted arc grows the program to ProgramSize + CalleeSize.
   uint64_t ProgramSize = 0;

@@ -47,14 +47,7 @@ struct InlineOptions {
   /// stack words into a recursive region is a control-stack hazard.
   int64_t StackBound = 2048;
 
-  /// Optional per-callee size cap (0 = none): arcs whose callee body
-  /// exceeds this many IL instructions are rejected by the cost function.
-  uint64_t MaxCalleeSize = 0;
-
   LinearizationPolicy Policy = LinearizationPolicy::ProfileSorted;
-
-  /// Run function-level dead code removal after expansion (§2.6).
-  bool EliminateDeadFunctions = true;
 
   /// Worst-case assumption for external functions (§2.5); see
   /// CallGraphOptions::AssumeExternalsCallBack.

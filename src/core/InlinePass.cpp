@@ -41,8 +41,7 @@ InlineResult impact::runInlineExpansion(Module &M, const ProfileData &Profile,
     }
   }
 
-  if (Options.EliminateDeadFunctions)
-    Result.EliminatedFunctions = eliminateDeadFunctions(M, GraphOptions);
+  Result.EliminatedFunctions = eliminateDeadFunctions(M, GraphOptions);
 
   Result.SizeAfter = M.size();
   return Result;

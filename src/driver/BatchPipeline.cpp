@@ -28,19 +28,13 @@ BatchResult impact::runBatchPipeline(const std::vector<BatchJob> &Jobs,
   BatchResult Result;
   Result.Results.resize(Jobs.size());
 
-  FunctionDefinitionCache LocalCache;
-  FunctionDefinitionCache *Cache =
-      Options.ExternalCache ? Options.ExternalCache : &LocalCache;
-
   Stopwatch Wall;
   {
     ThreadPool Pool(Options.Jobs);
     Result.ThreadsUsed = Pool.getThreadCount();
     for (size_t I = 0; I != Jobs.size(); ++I) {
-      Pool.submit([&Jobs, &Result, Cache, I] {
+      Pool.submit([&Jobs, &Result, I] {
         const BatchJob &Job = Jobs[I];
-        PipelineOptions JobOptions = Job.Options;
-        JobOptions.DefCache = Cache;
         // runPipeline contains every failure (including thrown
         // exceptions) as a failed result; the catch-all below is the
         // last line of defense keeping the pool's no-throw contract if
@@ -51,10 +45,10 @@ BatchResult impact::runBatchPipeline(const std::vector<BatchJob> &Jobs,
             // server can re-dispatch the same precompiled module later.
             Module M = Job.PrecompiledModule;
             Result.Results[I] = runPipeline(std::move(M), Job.Inputs,
-                                            JobOptions);
+                                            Job.Options);
           } else {
             Result.Results[I] =
-                runPipeline(Job.Source, Job.Name, Job.Inputs, JobOptions);
+                runPipeline(Job.Source, Job.Name, Job.Inputs, Job.Options);
           }
         } catch (const std::exception &E) {
           PipelineResult &R = Result.Results[I];
@@ -90,7 +84,6 @@ BatchResult impact::runBatchPipeline(const std::vector<BatchJob> &Jobs,
       F.Detail = R.Error;
     Result.Failures.push_back(std::move(F));
   }
-  Result.Cache = Cache->getStats();
   return Result;
 }
 
@@ -107,14 +100,11 @@ std::string impact::renderBatchReport(const std::vector<BatchJob> &Jobs,
                                       "pre-opt", "profile", "inline"};
   if (AnyAnalyze)
     Columns.push_back("analyze");
-  Columns.insert(Columns.end(), {"re-profile", "total", "cache"});
+  Columns.insert(Columns.end(), {"re-profile", "total"});
   TableWriter T(Columns);
   for (size_t I = 0; I != Result.Results.size(); ++I) {
     const PipelineResult &R = Result.Results[I];
     const PipelineStats &S = R.Stats;
-    std::string CacheCell =
-        std::to_string(S.CacheHits) + "h/" + std::to_string(S.CacheMisses) +
-        "m";
     std::vector<std::string> Row = {
         I < Jobs.size() ? Jobs[I].Name : std::to_string(I),
         R.Ok ? "ok" : "FAILED", formatDuration(S.CompileSeconds),
@@ -123,7 +113,7 @@ std::string impact::renderBatchReport(const std::vector<BatchJob> &Jobs,
     if (AnyAnalyze)
       Row.push_back(formatDuration(S.AnalyzeSeconds));
     Row.insert(Row.end(), {formatDuration(S.ReProfileSeconds),
-                           formatDuration(S.getTotalSeconds()), CacheCell});
+                           formatDuration(S.getTotalSeconds())});
     T.addRow(Row);
   }
 
@@ -132,12 +122,6 @@ std::string impact::renderBatchReport(const std::vector<BatchJob> &Jobs,
          formatDuration(Result.WallSeconds) + " wall, " +
          formatDuration(Result.getCpuSeconds()) + " cpu (speedup " +
          formatCount(Result.getSpeedup() * 100.0) + "% of serial)\n";
-  Out += "cache: " + std::to_string(Result.Aggregate.CacheHits) + " hits / " +
-         std::to_string(Result.Aggregate.CacheMisses) + " misses this batch" +
-         " (" + formatPercent(Result.Cache.getHitRate() * 100.0) +
-         " lifetime hit rate, " + std::to_string(Result.Cache.Entries) +
-         " entries, " + std::to_string(Result.Cache.InstrsServed) +
-         " cached IL served)\n";
   Out += "pre-opt work: " +
          std::to_string(Result.Aggregate.PreOpt.InstrsProcessed) +
          " IL processed across " +

@@ -6,34 +6,29 @@
 ///
 /// \file
 /// Runs many independent compile→profile→inline→re-profile pipelines
-/// concurrently on a work-stealing thread pool, sharing one sharded
-/// function-definition cache between all jobs. This is the batch form of
+/// concurrently on a work-stealing thread pool. This is the batch form of
 /// the paper's §4 experiment: every table and ablation iterates the same
 /// 12-program suite, so the suite is the natural unit of parallelism.
 ///
 /// Determinism contract: each job is self-contained (own module, own
-/// profile, fixed linearization seed) and the shared cache only ever
-/// returns bodies identical to what recomputation would produce, so
-/// `runBatchPipeline(Jobs, N threads)` yields results bit-identical to
-/// running each job through `runPipeline` serially — enforced by the
-/// ParallelDeterminism property test. Only the timing fields and cache
-/// hit/miss split may differ between runs.
+/// profile, fixed linearization seed) and shares no mutable state with
+/// the others, so `runBatchPipeline(Jobs, N threads)` yields results
+/// bit-identical to running each job through `runPipeline` serially —
+/// enforced by the ParallelDeterminism property test. Only the timing
+/// fields may differ between runs.
 ///
 /// Failure containment: one unit failing — malformed source, a verifier
 /// violation, an interpreter trap or step-limit exhaustion, a thrown
 /// exception, or an injected fault (support/FaultInjection.h) — is
 /// quarantined as a structured UnitFailure on its own result slot; every
 /// other job runs to completion and stays bit-identical to a batch where
-/// the failing unit never existed. Failed units insert nothing into the
-/// shared function-definition cache past the point of failure, so the
-/// cache is never poisoned across jobs.
+/// the failing unit never existed.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IMPACT_DRIVER_BATCHPIPELINE_H
 #define IMPACT_DRIVER_BATCHPIPELINE_H
 
-#include "driver/FunctionCache.h"
 #include "driver/Pipeline.h"
 
 #include <string>
@@ -65,10 +60,6 @@ struct BatchJob {
 struct BatchOptions {
   /// Worker threads; 0 = one per hardware thread.
   unsigned Jobs = 0;
-  /// The batch's pre-opt stages always share a function-definition
-  /// cache: this one when set (e.g. to keep entries across the successive
-  /// batches of an ablation sweep), otherwise a batch-local one.
-  FunctionDefinitionCache *ExternalCache = nullptr;
 };
 
 struct BatchResult {
@@ -78,11 +69,8 @@ struct BatchResult {
   /// sum of per-job Stats.getTotalSeconds()).
   double WallSeconds = 0.0;
   unsigned ThreadsUsed = 1;
-  /// Per-job stats summed: cpu seconds per phase, cache hits/misses.
+  /// Per-job stats summed: cpu seconds per phase, pre-opt work.
   PipelineStats Aggregate;
-  /// Cache-lifetime counters (== Aggregate's hit/miss for a batch-local
-  /// cache; larger for an external cache reused across batches).
-  FunctionCacheStats Cache;
   /// Quarantine records of every failed job, in job order (one per
   /// failed Results slot; empty when allOk()).
   std::vector<UnitFailure> Failures;
@@ -103,7 +91,7 @@ BatchResult runBatchPipeline(const std::vector<BatchJob> &Jobs,
                              const BatchOptions &Options = BatchOptions());
 
 /// Renders the per-job phase-timing table plus the batch summary (threads,
-/// wall vs cpu time, cache hit rate) with driver/Report's TableWriter.
+/// wall vs cpu time, pre-opt work) with driver/Report's TableWriter.
 std::string renderBatchReport(const std::vector<BatchJob> &Jobs,
                               const BatchResult &Result);
 

@@ -279,13 +279,12 @@ RecompileStats CompileServer::recompile(const std::string &Target,
     JobPrograms.push_back(Name);
   }
 
-  // Pass 2: run every rebuilt program's pipeline as one batch over the
-  // server's cache. Job order is program-definition order, so results
-  // are independent of the thread count.
+  // Pass 2: run every rebuilt program's pipeline as one batch. Job order
+  // is program-definition order, so results are independent of the
+  // thread count.
   if (!Jobs.empty()) {
     BatchOptions Batch;
     Batch.Jobs = Options.Jobs;
-    Batch.ExternalCache = &Cache;
     BatchResult Result = runBatchPipeline(Jobs, Batch);
     for (size_t I = 0; I != Jobs.size(); ++I) {
       ProgramState &Program = Programs[JobPrograms[I]];

@@ -7,8 +7,8 @@
 /// \file
 /// A compile server: a long-lived session that accepts unit-level requests
 /// (add/replace/remove a translation unit, define a program over units,
-/// recompile, query results) and keeps the module graph and the
-/// function-definition cache alive across requests. Where the batch
+/// recompile, query results) and keeps the module graph and each
+/// program's last result alive across requests. Where the batch
 /// pipeline re-runs the world every invocation, the server re-runs only
 /// what a change can reach:
 ///
@@ -22,30 +22,25 @@
 ///    are asserted structurally, not by timing.
 ///  - Programs whose member units are all clean are served from the
 ///    program-level result cache without running anything.
-///  - Per-function pre-opt work inside a recompiled program still hits
-///    the server's in-memory FunctionDefinitionCache, so an edit re-runs
-///    pre-opt only on the bodies it changed.
 ///
 /// Determinism contract: every frontend compile, link, and pipeline stage
-/// is deterministic, and cache hits are bit-identical to recomputation,
-/// so after ANY script of requests each program's emitted module,
-/// decision trace, and profile is bit-identical to a from-scratch batch
-/// compile of the same sources — at any thread count. The server tier's
-/// incremental-equals-fresh property test enforces this.
+/// is deterministic, so after ANY script of requests each program's
+/// emitted module, decision trace, and profile is bit-identical to a
+/// from-scratch batch compile of the same sources — at any thread count.
+/// The server tier's incremental-equals-fresh property test enforces
+/// this.
 ///
 /// Failure containment (PR 3 semantics carried over): a unit that fails
 /// to compile, a program that fails to link, and a pipeline attempt that
 /// faults are each quarantined as a UnitFailure; the failing unit/program
 /// stays dirty so the next recompile retries it (transient faults
-/// recover), every other program completes untouched, and the cache is
-/// never poisoned.
+/// recover), and every other program completes untouched.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IMPACT_DRIVER_COMPILESERVER_H
 #define IMPACT_DRIVER_COMPILESERVER_H
 
-#include "driver/FunctionCache.h"
 #include "driver/Pipeline.h"
 
 #include <map>
@@ -59,9 +54,8 @@ struct ServerOptions {
   /// Worker threads for each recompile's program batch; 0 = one per
   /// hardware thread.
   unsigned Jobs = 1;
-  /// Pipeline knobs applied to every program. DefCache is overridden by
-  /// the server's own cache; Faults (when set) also covers the server's
-  /// unit compiles.
+  /// Pipeline knobs applied to every program. Faults (when set) also
+  /// covers the server's unit compiles.
   PipelineOptions Pipeline;
 };
 
@@ -130,8 +124,6 @@ public:
   /// occurrence order.
   const std::vector<UnitFailure> &getFailures() const { return Failures; }
 
-  FunctionCacheStats getCacheStats() const { return Cache.getStats(); }
-
 private:
   struct UnitState {
     std::string Source;
@@ -171,7 +163,6 @@ private:
   void recordFailure(UnitFailure Failure);
 
   ServerOptions Options;
-  FunctionDefinitionCache Cache;
   std::map<std::string, UnitState> Units;
   std::map<std::string, ProgramState> Programs;
   /// Definition order of programs — recompile processes (and the batch

@@ -52,9 +52,6 @@ std::string impact::formatDecisionReason(const PlannedSite &P,
   case CostVerdict::LowWeight:
     return "weight " + weightStr(N.Weight) + " < threshold " +
            weightStr(N.WeightThreshold);
-  case CostVerdict::CalleeTooLarge:
-    return "callee size " + std::to_string(N.CalleeSize) +
-           " > max callee size " + std::to_string(N.MaxCalleeSize);
   case CostVerdict::BudgetExceeded:
     return "program " + std::to_string(N.ProgramSize) + " + callee " +
            std::to_string(N.CalleeSize) + " > budget " +
@@ -93,7 +90,6 @@ std::string impact::renderDecisionTraceJson(const InlinePlan &Plan,
         ",\"verdict\":\"" + std::string(getCostVerdictName(P.Verdict)) + "\"";
     Out += ",\"weight_threshold\":" + weightStr(N.WeightThreshold);
     Out += ",\"callee_size\":" + std::to_string(N.CalleeSize);
-    Out += ",\"max_callee_size\":" + std::to_string(N.MaxCalleeSize);
     Out += ",\"program_size\":" + std::to_string(N.ProgramSize);
     Out += ",\"program_size_budget\":" + std::to_string(N.ProgramSizeBudget);
     Out += ",\"callee_stack_words\":" + std::to_string(N.CalleeStackWords);

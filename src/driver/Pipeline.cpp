@@ -8,7 +8,6 @@
 
 #include "callgraph/CallGraphBuilder.h"
 #include "driver/DecisionTrace.h"
-#include "driver/FunctionCache.h"
 #include "ir/IrVerifier.h"
 #include "support/FaultInjection.h"
 #include "support/Stopwatch.h"
@@ -69,20 +68,12 @@ const char *profileFailureReason(const ProfileResult &P) {
   return "trap";
 }
 
-/// Pre-inline optimization, optionally memoized through the shared
-/// function-definition cache. The cached body is exactly what re-running
-/// the (deterministic) passes would produce, so the transformed module is
-/// identical either way; only the wall time and the hit/miss counters
-/// differ.
+/// Pre-inline optimization of every defined function.
 ///
-/// Fault sites: "pass" before each function's pass pipeline,
-/// "cache-lookup"/"cache-insert" around the cache calls. A fault firing
-/// here unwinds before the insert, so a failing unit can never leave a
-/// partially optimized (poisoned) body behind for other units to splice.
-/// Returns false (diagnostic-kind fault) after filling \p Result.
+/// Fault site: "pass" before each function's pass pipeline. Returns false
+/// (diagnostic-kind fault) after filling \p Result.
 bool runPreOpt(Module &M, const PipelineOptions &Options,
                PipelineResult &Result, FaultSession &Faults) {
-  PipelineStats &Stats = Result.Stats;
   for (Function &F : M.Funcs) {
     if (F.IsExternal)
       continue;
@@ -92,30 +83,7 @@ bool runPreOpt(Module &M, const PipelineOptions &Options,
                "pre-opt failed: injected diagnostic at pass");
       return false;
     }
-    if (Options.DefCache) {
-      std::string Key = FunctionDefinitionCache::makeKey(F, Options.PreOpt);
-      if (Faults.reach("cache-lookup") == FaultKind::Diagnostic) {
-        failUnit(Result, M.Name, "pre-opt", "diagnostic",
-                 "injected diagnostic at cache-lookup",
-                 "pre-opt failed: injected diagnostic at cache-lookup");
-        return false;
-      }
-      if (Options.DefCache->lookup(Key, F)) {
-        ++Stats.CacheHits;
-        continue;
-      }
-      runOptimizationPipeline(F, Options.PreOpt, &Stats.PreOpt);
-      if (Faults.reach("cache-insert") == FaultKind::Diagnostic) {
-        failUnit(Result, M.Name, "pre-opt", "diagnostic",
-                 "injected diagnostic at cache-insert",
-                 "pre-opt failed: injected diagnostic at cache-insert");
-        return false;
-      }
-      Options.DefCache->insert(Key, F);
-      ++Stats.CacheMisses;
-    } else {
-      runOptimizationPipeline(F, Options.PreOpt, &Stats.PreOpt);
-    }
+    runOptimizationPipeline(F, Options.PreOpt, &Result.Stats.PreOpt);
   }
   return true;
 }

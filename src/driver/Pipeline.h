@@ -30,7 +30,6 @@
 
 namespace impact {
 
-class FunctionDefinitionCache;
 struct FaultPlan;
 
 /// Structured description of one unit's pipeline failure — the quarantine
@@ -78,12 +77,6 @@ struct PipelineOptions {
   /// mincover property tier enforces bit-identical ProfileData — only the
   /// profiling phase's wall time.
   InstrumentMode Instrument = InstrumentMode::Full;
-  /// Optional function-definition cache for the pre-opt stage (see
-  /// driver/FunctionCache.h). When set, post-pre-opt bodies are memoized
-  /// across pipeline runs; the batch pipeline shares one cache between all
-  /// its jobs. A hit is bit-identical to re-running the passes, so results
-  /// never depend on cache state.
-  FunctionDefinitionCache *DefCache = nullptr;
   /// When set, the measuring profile runs (step 2) are skipped and inline
   /// expansion is driven by this previously saved profile instead
   /// (profile/ProfileIO.h). The serialization is exact, so a reloaded
@@ -129,7 +122,7 @@ getPipelineFlags(PipelineOptions &Options, FaultPlan &Faults,
 /// Wall-clock and work counters for one pipeline run, per phase. Purely
 /// observational: none of these feed back into compilation, so two runs of
 /// the same job produce identical modules and metrics regardless of
-/// timing, threading, or cache state.
+/// timing or threading.
 struct PipelineStats {
   double CompileSeconds = 0.0;
   double PreOptSeconds = 0.0;
@@ -137,12 +130,8 @@ struct PipelineStats {
   double InlineSeconds = 0.0;
   double AnalyzeSeconds = 0.0;
   double ReProfileSeconds = 0.0;
-  /// Per-pass breakdown of the pre-opt stage (cache hits skip it).
+  /// Per-pass breakdown of the pre-opt stage.
   OptStats PreOpt;
-  /// Function-definition cache effectiveness for this run (0/0 when no
-  /// cache was attached).
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
   /// 1 when this run ended in a quarantined UnitFailure (sums to the
   /// batch's failed-unit count through merge()).
   uint64_t UnitsFailed = 0;
@@ -162,8 +151,6 @@ struct PipelineStats {
     AnalyzeSeconds += Other.AnalyzeSeconds;
     ReProfileSeconds += Other.ReProfileSeconds;
     PreOpt.merge(Other.PreOpt);
-    CacheHits += Other.CacheHits;
-    CacheMisses += Other.CacheMisses;
     UnitsFailed += Other.UnitsFailed;
     Retries += Other.Retries;
   }
@@ -234,7 +221,7 @@ struct PipelineResult {
   /// The inlined module (post everything).
   Module FinalModule;
 
-  /// Per-phase wall times, pre-opt pass breakdown, and cache counters.
+  /// Per-phase wall times and the pre-opt pass breakdown.
   PipelineStats Stats;
 
   /// Table 4's "call dec": percentage of dynamic calls eliminated.

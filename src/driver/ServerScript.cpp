@@ -151,6 +151,10 @@ struct Executor {
               W[3].data(), W[3].data() + W[3].size(), Runs);
           if (Ec != std::errc() || Ptr != W[3].data() + W[3].size())
             return parseError(LineNo, "invalid run count '" + W[3] + "'");
+          if (Runs > kMaxSuiteInputRuns)
+            return parseError(LineNo,
+                              "run count " + W[3] + " exceeds the budget of " +
+                                  std::to_string(kMaxSuiteInputRuns));
         }
         if (!Spec)
           say("[error] unknown benchmark '" + W[2] + "'");
@@ -175,13 +179,6 @@ struct Executor {
               " clean=" + std::to_string(Stats.CleanPrograms) +
               " failed=" + std::to_string(Stats.FailedPrograms));
         }
-      } else if (Verb == "stats") {
-        if (W.size() != 1)
-          return parseError(LineNo, "stats takes no arguments");
-        FunctionCacheStats S = Server.getCacheStats();
-        say("[stats] hits=" + std::to_string(S.Hits) +
-            " misses=" + std::to_string(S.Misses) +
-            " entries=" + std::to_string(S.Entries));
       } else {
         return parseError(LineNo, "unknown command '" + Verb + "'");
       }

@@ -22,8 +22,9 @@
 ///                              source (suite/Suite.h)
 ///   suite-inputs <program> <bench> [runs]  set the program's inputs to
 ///                              the benchmark's deterministic workload
+///                              (runs <= kMaxSuiteInputRuns; 0 or none =
+///                              the benchmark's default)
 ///   recompile [target]         recompile `target` (default "*")
-///   stats                      append cache counters to the transcript
 ///
 /// Execution appends one transcript line per command, e.g.
 ///   [recompile] target=* touched=3 units=[mid1,mid2,util] programs=2
@@ -33,9 +34,10 @@
 /// script-determinism test in the server tier pins that.
 ///
 /// Malformed commands (unknown verb, missing heredoc terminator, bad
-/// argument counts) stop execution with Ok=false; request-level failures
-/// (duplicate unit, unknown program) append an `[error]` transcript line
-/// and continue, matching the server's quarantine philosophy.
+/// argument counts, a run count over its budget) stop execution with
+/// Ok=false; request-level failures (duplicate unit, unknown program)
+/// append an `[error]` transcript line and continue, matching the
+/// server's quarantine philosophy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +50,11 @@
 namespace impact {
 
 class CompileServer;
+
+/// The most runs one `suite-inputs` line may ask for — far above any
+/// benchmark's default, far below a count whose inputs would exhaust
+/// memory.
+inline constexpr unsigned kMaxSuiteInputRuns = 1000;
 
 struct ServerScriptResult {
   /// False only for a malformed script (parse error); request-level

@@ -16,12 +16,6 @@
 namespace impact {
 
 /// Which classic optimizations to run.
-///
-/// Every field here is part of a cached function body's identity:
-/// driver/FunctionCache.cpp fingerprints each one in makeKey, and its
-/// static_assert on sizeof(OptOptions) plus the exhaustive toggle test in
-/// tests/PipelineTests.cpp trip when a knob is added without extending
-/// the fingerprint.
 struct OptOptions {
   bool ConstantFolding = true;
   bool JumpOptimization = true;
@@ -79,8 +73,7 @@ struct OptStats {
   uint64_t FunctionsVisited = 0;
   /// Fixpoint iterations across all functions.
   uint64_t Iterations = 0;
-  /// IL instructions fed to the pass sequence, summed per iteration — the
-  /// work metric the function-definition cache saves.
+  /// IL instructions fed to the pass sequence, summed per iteration.
   uint64_t InstrsProcessed = 0;
   double TotalSeconds = 0.0;
 

@@ -15,8 +15,7 @@ using namespace impact;
 
 const std::vector<std::string> &impact::getKnownFaultSites() {
   static const std::vector<std::string> Sites = {
-      "parse",        "sema",    "irgen",  "pass",      "cache-lookup",
-      "cache-insert", "profile", "expand", "reprofile"};
+      "parse", "sema", "irgen", "pass", "profile", "expand", "reprofile"};
   return Sites;
 }
 

@@ -19,7 +19,7 @@
 ///   rule := [unit '/'] site ':' kind '@' occurrence ['x' attempts]
 ///
 ///   site       one of getKnownFaultSites(): parse, sema, irgen, pass,
-///              cache-lookup, cache-insert, profile, expand, reprofile
+///              profile, expand, reprofile
 ///   kind       throw     - throw FaultInjectedError from the site
 ///              diag      - report an injected diagnostic (clean failure)
 ///              oom       - throw std::bad_alloc (allocation failure)
@@ -33,7 +33,7 @@
 ///              omitted = every unit
 ///
 /// Examples: "profile:steplimit@1", "wc/pass:throw@2",
-/// "cache-insert:oom@1", "grep/expand:diag@1x1" (transient).
+/// "pass:oom@1", "grep/expand:diag@1x1" (transient).
 ///
 /// Parsing is strict (parseFaultPlan): unknown sites or kinds, malformed
 /// occurrence counts, and trailing garbage are rejected with a diagnostic

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A stable, process-independent 128-bit content digest: two FNV-1a lanes
-/// finalized with splitmix64. The function-definition cache addresses its
-/// entries by this digest of their key text. The byte stream is hashed
-/// as-is, so the digest is byte-order independent by construction.
+/// finalized with splitmix64. The seed-pinning tests digest the
+/// observables they pin with it. The byte stream is hashed as-is, so the
+/// digest is byte-order independent by construction.
 ///
 //===----------------------------------------------------------------------===//
 

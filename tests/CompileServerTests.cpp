@@ -11,11 +11,9 @@
 /// same sources — at jobs=1 and jobs=4 — while warm recompiles touch only
 /// the changed unit's reverse-transitive call-graph dependents (pinned
 /// exact sets for a hand-built DAG and a mutual-recursion cycle, asserted
-/// by the touched-unit counter, never by timing), and a warm edit serves
-/// every unchanged body's pre-opt work from the server's in-memory
-/// function-definition cache. Failure containment: broken units, broken
-/// links, and injected faults quarantine and retry; the server never dies
-/// and the cache is never poisoned.
+/// by the touched-unit counter, never by timing). Failure containment:
+/// broken units, broken links, and injected faults quarantine and retry;
+/// the server never dies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -448,49 +446,6 @@ TEST(CompileServer, TargetedRecompileLeavesOtherProgramsDirty) {
 }
 
 //===----------------------------------------------------------------------===//
-// The in-memory pre-opt memo across recompiles.
-//===----------------------------------------------------------------------===//
-
-TEST(CompileServer, WarmEditReusesUnchangedPreOptBodies) {
-  // The edit changes one constant in accumulate() and adds or removes no
-  // call. Call-site ids are numbered module-wide, so every other body
-  // keeps its cache key and only accumulate() misses.
-  std::string Source = test::kCallHeavyProgram;
-  std::string Edited = Source;
-  size_t At = Edited.find("total = 0;");
-  ASSERT_NE(At, std::string::npos);
-  Edited.replace(At, 10, "total = 7;");
-
-  CompilationResult Probe = compileMiniC(Source, "heavy");
-  ASSERT_TRUE(Probe.Ok) << Probe.Errors;
-  uint64_t Defined = 0;
-  for (const Function &F : Probe.M.Funcs)
-    Defined += !F.IsExternal;
-  ASSERT_GE(Defined, 3u);
-
-  ServerOptions Options;
-  Options.Pipeline = tracedOptions();
-  CompileServer Server(Options);
-  ASSERT_TRUE(Server.addUnit("heavy", Source));
-  ASSERT_TRUE(Server.defineProgram("heavy", {"heavy"}, twoRuns()));
-  ASSERT_EQ(Server.recompile().RecompiledPrograms, 1u);
-  EXPECT_EQ(Server.getResult("heavy")->Stats.CacheHits, 0u)
-      << "a cold server has nothing to serve";
-
-  ASSERT_TRUE(Server.replaceUnit("heavy", Edited));
-  RecompileStats Warm = Server.recompile();
-  ASSERT_EQ(Warm.RecompiledPrograms, 1u);
-  const PipelineResult *Result = Server.getResult("heavy");
-  ASSERT_NE(Result, nullptr);
-  EXPECT_EQ(Result->Stats.CacheHits, Defined - 1);
-  EXPECT_EQ(Result->Stats.CacheMisses, 1u);
-
-  PipelineResult Fresh =
-      runPipeline(Edited, "heavy", twoRuns(), tracedOptions());
-  expectSameProgram(*Result, Fresh, "warm edit");
-}
-
-//===----------------------------------------------------------------------===//
 
 TEST(CompileServer, BrokenUnitIsQuarantinedAndFixedByReplace) {
   ServerOptions Options;
@@ -621,7 +576,7 @@ TEST(CompileServer, DuplicateDefinitionFailsTheLinkAndRecovers) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServerScript, ReplayIsDeterministic) {
-  std::string Script = test::makeServerScript(/*WithStats=*/true);
+  std::string Script = test::makeServerScript();
   std::string Transcripts[2];
   for (std::string &Transcript : Transcripts) {
     ServerOptions Options;
@@ -651,24 +606,52 @@ TEST(ServerScript, ReplayIsDeterministic) {
   EXPECT_NE(Transcripts[0].find("[replace] one ("), std::string::npos);
   EXPECT_EQ(Transcripts[0].find("[replace] one (0 bytes)"), std::string::npos)
       << Transcripts[0];
+  EXPECT_NE(Transcripts[0].find("[suite-inputs] three <- wc x2"),
+            std::string::npos)
+      << Transcripts[0];
 
   // The counter lines are thread-count independent: a 4-thread server
-  // replays the same script (minus the hit/miss-split-bearing stats
-  // line) to the same transcript.
-  std::string NoStats = test::makeServerScript(/*WithStats=*/false);
+  // replays the same script to the same transcript.
   std::string Reference;
   for (unsigned Jobs : {1u, 4u}) {
     ServerOptions Options;
     Options.Jobs = Jobs;
     Options.Pipeline = tracedOptions();
     CompileServer Server(Options);
-    ServerScriptResult R = runServerScript(Server, NoStats);
+    ServerScriptResult R = runServerScript(Server, Script);
     ASSERT_TRUE(R.Ok) << R.Error;
     if (Reference.empty())
       Reference = R.Transcript;
     else
       EXPECT_EQ(R.Transcript, Reference) << "jobs=" << Jobs;
   }
+}
+
+TEST(ServerScript, SuiteInputsRunCountHasABudget) {
+  // One run over the budget is a line-numbered diagnostic, reported before
+  // any input is generated; exactly the budget is accepted.
+  auto RunWith = [](unsigned Runs) {
+    CompileServer Server;
+    return runServerScript(Server, "suite-unit p wc\n"
+                                   "program p = p\n"
+                                   "suite-inputs p wc " +
+                                       std::to_string(Runs) + "\n");
+  };
+  ServerScriptResult Over = RunWith(kMaxSuiteInputRuns + 1);
+  EXPECT_FALSE(Over.Ok);
+  EXPECT_EQ(Over.Error.rfind("line 3: ", 0), 0u) << Over.Error;
+  EXPECT_NE(Over.Error.find("exceeds the budget"), std::string::npos)
+      << Over.Error;
+  EXPECT_EQ(Over.Transcript.find("[suite-inputs]"), std::string::npos)
+      << Over.Transcript;
+
+  ServerScriptResult AtBudget = RunWith(kMaxSuiteInputRuns);
+  ASSERT_TRUE(AtBudget.Ok) << AtBudget.Error;
+  EXPECT_NE(AtBudget.Transcript.find(
+                "[suite-inputs] p <- wc x" +
+                std::to_string(kMaxSuiteInputRuns)),
+            std::string::npos)
+      << AtBudget.Transcript;
 }
 
 TEST(ServerScript, InputTextStartsAfterTheProgramName) {

@@ -172,20 +172,6 @@ TEST(DecisionTrace, RecursiveCycleNamesBothEnds) {
   EXPECT_NE(Reason.find("recursion cycle"), std::string::npos) << Reason;
 }
 
-TEST(DecisionTrace, CalleeTooLargeQuotesSizeAndCap) {
-  InlineOptions Options;
-  Options.MinArcWeight = 1.0;
-  Options.MaxCalleeSize = 1;
-  Planned P = planProgram(test::kCallHeavyProgram, std::string(30, 'x'),
-                          Options);
-  const PlannedSite *S = findArc(P, "cube", "square");
-  ASSERT_NE(S, nullptr);
-  ASSERT_EQ(S->Verdict, CostVerdict::CalleeTooLarge);
-  EXPECT_EQ(S->Numbers.MaxCalleeSize, 1u);
-  std::string Reason = formatDecisionReason(*S, P.M);
-  EXPECT_NE(Reason.find("> max callee size 1"), std::string::npos) << Reason;
-}
-
 TEST(DecisionTrace, PointerAndExternalSitesAreExplained) {
   Planned P = planProgram(test::kPointerCallProgram, "xy");
   bool SawPointer = false, SawExternal = false;
@@ -226,7 +212,6 @@ TEST(DecisionTrace, EveryRefusedSiteHasAConcreteReason) {
       switch (S.Verdict) {
       case CostVerdict::LowWeight:
       case CostVerdict::StackHazard:
-      case CostVerdict::CalleeTooLarge:
       case CostVerdict::BudgetExceeded:
         EXPECT_NE(Reason.find_first_of("0123456789"), std::string::npos)
             << Name << " site " << S.SiteId << ": " << Reason;

@@ -318,9 +318,9 @@ bool checkServerScriptContract(const std::string &Script,
 
 TEST(Fuzz, MutatedServerScriptNeverCrashes) {
   // The server tier's request scripts: a full session (units, programs,
-  // inputs, an edit, targeted and full recompiles, stats) and one with a
-  // request-level failure.
-  const std::string Scripts[] = {test::makeServerScript(/*WithStats=*/true),
+  // inputs, an edit, targeted and full recompiles, suite verbs) and one
+  // with a request-level failure.
+  const std::string Scripts[] = {test::makeServerScript(),
                                  test::kDuplicateUnitScript};
   unsigned Ran = 0, Rejected = 0;
   const unsigned Seeds = test::getFuzzSeedCount(/*Floor=*/1);

@@ -7,16 +7,15 @@
 /// \file
 /// The batch pipeline's determinism contract, property-tested: for 64
 /// random programs, running the serial Pipeline and the BatchPipeline (at
-/// one thread and at an oversubscribed four threads, with the shared
-/// function-definition cache active) must produce identical PhaseMetrics,
-/// identical inline decisions (linearization, plan, expansion records,
-/// eliminated functions), and byte-identical printed modules. Seeds vary
-/// the pipeline knobs, including tail-recursion elimination — the pass
-/// whose result depends on function identity and so stresses the cache
-/// key — and a dedicated regression pits a self-recursive function against
-/// a byte-identical wrapper. A final test asserts the same over the full
-/// 12-program benchmark suite, which is the configuration every
-/// table/ablation bench runs in.
+/// one thread and at an oversubscribed four threads) must produce
+/// identical PhaseMetrics, identical inline decisions (linearization,
+/// plan, expansion records, eliminated functions), and byte-identical
+/// printed modules. Seeds vary the pipeline knobs, including tail-recursion
+/// elimination — the pass whose result depends on function identity, not
+/// just its printed body — and a dedicated regression pits a
+/// self-recursive function against a byte-identical wrapper. A final test
+/// asserts the same over the full 12-program benchmark suite, which is the
+/// configuration every table/ablation bench runs in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +48,8 @@ std::vector<RunInput> makeInputs(uint64_t Seed) {
 }
 
 /// Asserts every observable field matches. PipelineResult::Stats (wall
-/// times, cache hit/miss split) is deliberately excluded: timing is the
-/// one thing parallel execution is allowed to change.
+/// times) is deliberately excluded: timing is the one thing parallel
+/// execution is allowed to change.
 void expectBitIdentical(const PipelineResult &Serial,
                         const PipelineResult &Batch,
                         const std::string &Tag) {
@@ -92,11 +91,11 @@ TEST_P(ParallelDeterminism, BatchMatchesSerialAtAnyThreadCount) {
   Options.Inline.PostInlineOptimize = (Seed % 2) == 0;
   // Every third seed enables the one pre-opt pass whose rewrite depends on
   // the function's own identity (self-call status), not just its printed
-  // body — exactly the configuration a body-keyed cache can get wrong.
+  // body.
   Options.PreOpt.TailRecursionElimination = (Seed % 3) == 0;
-  // Odd seeds widen the pipeline with LICM, so the cache key must
-  // separate eight pass combinations across the seed range, and LICM's
-  // preheader splicing runs under every thread count.
+  // Odd seeds widen the pipeline with LICM, so the seed range covers
+  // eight pass combinations, and LICM's preheader splicing runs under
+  // every thread count.
   Options.PreOpt.LoopInvariantCodeMotion = (Seed % 2) == 1;
   if (Options.Inline.PostInlineOptimize)
     Options.Inline.PostOpt = Options.PreOpt;
@@ -112,8 +111,7 @@ TEST_P(ParallelDeterminism, BatchMatchesSerialAtAnyThreadCount) {
   Job.Options = Options;
 
   // One thread, then oversubscribed (more workers than cores exercises
-  // interleaving even on small machines). The definition cache is on in
-  // both — a cache hit must be indistinguishable from recomputation.
+  // interleaving even on small machines).
   for (unsigned Threads : {1u, 4u}) {
     BatchOptions Batch;
     Batch.Jobs = Threads;
@@ -128,15 +126,15 @@ TEST_P(ParallelDeterminism, BatchMatchesSerialAtAnyThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminism,
                          ::testing::Range<uint64_t>(1, 65));
 
-// Cache-key regression across two jobs sharing the batch cache. In
-// RecSource, rec (f0) tail-calls itself from its module's first call
-// site; in WrapSource, wrap calls helper (also f0) from *its* module's
-// first call site, so wrap's body prints to the very same bytes as rec's
-// (same callee id, registers, site id) — but helper computes something
-// else entirely, and only rec's call is a *self*-call. With
-// TailRecursionElimination on, only rec may be rewritten into a loop; a
-// cache keyed on printed bytes alone splices one function's post-opt body
-// into the other and diverges from the serial (uncached) pipeline in
+// Two jobs in one batch whose bodies print alike. In RecSource, rec (f0)
+// tail-calls itself from its module's first call site; in WrapSource,
+// wrap calls helper (also f0) from *its* module's first call site, so
+// wrap's body prints to the very same bytes as rec's (same callee id,
+// registers, site id) — but helper computes something else entirely, and
+// only rec's call is a *self*-call. With TailRecursionElimination on,
+// only rec may be rewritten into a loop; anything that shared work
+// between jobs by printed bytes alone would splice one function's
+// post-opt body into the other and diverge from the serial pipeline in
 // profiles, printed IR, and program output.
 TEST(ParallelDeterminism, TreWrapperDoesNotCollideWithSelfRecursion) {
   const char *RecSource =
@@ -190,9 +188,9 @@ TEST(ParallelDeterminism, TreWrapperDoesNotCollideWithSelfRecursion) {
 }
 
 // The configurations the benches actually run: the whole 12-program suite
-// as one batch, shared cache, parallel workers — once at the paper
-// baseline and once with the full widened pipeline (the ablation lattice's
-// "+licm" point, pre-opt and post-inline both).
+// as one batch on parallel workers — once at the paper baseline and once
+// with the full widened pipeline (the ablation lattice's "+licm" point,
+// pre-opt and post-inline both).
 TEST(ParallelDeterminism, FullSuiteBatchMatchesSerial) {
   PipelineOptions Widened;
   Widened.PreOpt.LoopInvariantCodeMotion = true;

@@ -6,14 +6,10 @@
 
 #include "driver/Pipeline.h"
 
-#include "driver/FunctionCache.h"
 #include "ir/IrVerifier.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
-
-#include <iterator>
-#include <set>
 
 using namespace impact;
 
@@ -137,43 +133,6 @@ TEST(Pipeline, InvalidModuleRejected) {
   Module M; // no main
   PipelineResult R = runPipeline(std::move(M), singleStream({""}));
   EXPECT_FALSE(R.Ok);
-}
-
-TEST(Pipeline, CacheKeyCoversEveryOptOption) {
-  // The cache-key staleness bug, pinned exhaustively: makeKey once
-  // fingerprinted only a subset of OptOptions, so two configurations
-  // differing in an unfingerprinted pass shared a cache slot and the
-  // second silently spliced a body optimized under the first. Perturb
-  // every field one at a time from the defaults; each perturbation must
-  // produce a distinct key. (FunctionCache.cpp's static_assert on
-  // sizeof(OptOptions) makes a *new* field a compile error until its
-  // fingerprint — and a line here — exist.)
-  Module M = test::compileOk(test::kCallHeavyProgram);
-  const Function *Def = nullptr;
-  for (const Function &F : M.Funcs)
-    if (!F.IsExternal) {
-      Def = &F;
-      break;
-    }
-  ASSERT_NE(Def, nullptr);
-
-  constexpr bool OptOptions::*Flags[] = {
-      &OptOptions::ConstantFolding,
-      &OptOptions::JumpOptimization,
-      &OptOptions::CopyPropagation,
-      &OptOptions::DeadCodeElimination,
-      &OptOptions::TailRecursionElimination,
-      &OptOptions::LoopInvariantCodeMotion,
-  };
-  std::set<std::string> Keys;
-  Keys.insert(FunctionDefinitionCache::makeKey(*Def, OptOptions()));
-  for (bool OptOptions::*Flag : Flags) {
-    OptOptions Opts;
-    Opts.*Flag = !(Opts.*Flag);
-    Keys.insert(FunctionDefinitionCache::makeKey(*Def, Opts));
-  }
-  EXPECT_EQ(Keys.size(), std::size(Flags) + 1)
-      << "some OptOptions field is missing from makeKey's fingerprint";
 }
 
 } // namespace

@@ -116,19 +116,6 @@ TEST(Planner, BudgetPrefersHeavierArcs) {
          "also 60...)";
 }
 
-TEST(Planner, MaxCalleeSizeKnob) {
-  InlineOptions Options;
-  Options.MaxCalleeSize = 1; // nothing fits
-  PlanFixture Fx =
-      plan(test::kCallHeavyProgram, {std::string(40, 'x')}, Options);
-  for (const PlannedSite &S : Fx.Plan.Sites)
-    if (S.Callee != kNoFunc && S.Status == ArcStatus::Rejected) {
-      EXPECT_TRUE(S.Verdict == CostVerdict::CalleeTooLarge ||
-                  S.Verdict == CostVerdict::LowWeight);
-    }
-  EXPECT_TRUE(Fx.Plan.ExpansionOrder.empty());
-}
-
 TEST(Planner, OrderViolationsNotExpandable) {
   // Force a linearization where callees follow callers: SourceOrder with
   // the callee declared after the caller.

@@ -408,6 +408,7 @@ TEST(ParseFaultPlan, RejectsMalformedSpecs) {
       "profile:throw@1x0",     // attempts must be positive
       "profile:throw@2junk",   // trailing garbage
       "bogus:throw@1",         // unknown site
+      "cache-insert:oom@1",    // unknown site
       "profile:explode@1",     // unknown kind
       "pass:steplimit@1",      // steplimit outside profile/reprofile
       "a/b/pass:throw@1",      // unknown site "b/pass"

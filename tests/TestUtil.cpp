@@ -180,10 +180,10 @@ int main() {
 }
 )MC";
 
-std::string test::makeServerScript(bool WithStats) {
+std::string test::makeServerScript() {
   std::string Script;
   Script += "# a server session: two programs, one edit, one targeted\n";
-  Script += "# recompile\n";
+  Script += "# recompile, then a suite benchmark's unit and inputs\n";
   Script += std::string("unit one <<END\n") + test::kCallHeavyProgram +
             "\nEND\n";
   Script += "program one = one\n";
@@ -197,9 +197,10 @@ std::string test::makeServerScript(bool WithStats) {
   Script += std::string("replace one <<END\n") + test::kPointerCallProgram +
             "\nEND\n";
   Script += "recompile one\n";
-  if (WithStats)
-    Script += "stats\n";
   Script += "recompile\n";
+  Script += "suite-unit three wc\n";
+  Script += "program three = three\n";
+  Script += "suite-inputs three wc 2\n";
   return Script;
 }
 

@@ -59,9 +59,10 @@ extern const char *const kRecursiveProgram;
 extern const char *const kPointerCallProgram;
 
 /// A compile-server request script over the three programs above: two
-/// programs, a full recompile, one edit, a targeted recompile, optional
-/// cache counters, and a final recompile (see driver/ServerScript.h).
-std::string makeServerScript(bool WithStats);
+/// programs, a full recompile, one edit, a targeted recompile, a final
+/// recompile, then a suite unit, its program and two of its benchmark
+/// inputs (see driver/ServerScript.h).
+std::string makeServerScript();
 
 /// A request script whose second `unit` duplicates the first: a
 /// request-level failure that must become an `[error]` line.
