@@ -10,7 +10,8 @@
 /// §2.3.2). The first sweep traces the code-growth / call-elimination
 /// tradeoff curve; the second shows the stack bound gating expansion into
 /// recursive regions (peak stack words of the recursive benchmarks stay
-/// bounded) and the pessimism knob that treats $$$ cycles as recursion.
+/// bounded). The stack hazard and the linear order are the only guards
+/// against expanding into recursion.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,31 +118,6 @@ int main() {
                 std::to_string(Rejections),
                 std::to_string(BeforeRun.Stats.PeakStackWords),
                 std::to_string(AfterRun.Stats.PeakStackWords)});
-    }
-    std::printf("%s\n", T.render().c_str());
-  }
-
-  std::printf("Ablation: pessimistic recursion ($$$ cycles count as "
-              "recursion, §2.5 worst case taken literally)\n\n");
-  {
-    TableWriter T({"mode", "avg call dec", "avg code inc", "expansions"});
-    for (bool Pessimistic : {false, true}) {
-      PipelineOptions Options = baseOptions();
-      Options.Inline.TreatExternalCyclesAsRecursion = Pessimistic;
-      std::vector<SuiteRun> Suite =
-          runSuiteExperiment(Options, /*RunsOverride=*/4);
-      std::vector<double> CallDec, CodeInc;
-      size_t Expansions = 0;
-      for (const SuiteRun &Run : Suite) {
-        if (!Run.Result.Ok)
-          continue;
-        CallDec.push_back(Run.Result.getCallDecreasePercent());
-        CodeInc.push_back(Run.Result.getCodeIncreasePercent());
-        Expansions += Run.Result.Inline.getNumExpanded();
-      }
-      T.addRow({Pessimistic ? "pessimistic" : "direct recursion only",
-                formatPercent(mean(CallDec)), formatPercent(mean(CodeInc)),
-                std::to_string(Expansions)});
     }
     std::printf("%s\n", T.render().c_str());
   }

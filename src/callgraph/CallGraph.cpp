@@ -48,28 +48,20 @@ std::vector<std::vector<int>> buildSuccessorLists(const CallGraph &G,
   return Successors;
 }
 
-/// Runs Tarjan over the chosen arc subset and fills ids + on-cycle flags
-/// (self arcs count as cycles).
-void computeSccInto(const CallGraph &G, bool DirectOnly,
-                    std::vector<int> &Ids, std::vector<bool> &Cycle) {
-  SccResult R = computeScc(buildSuccessorLists(G, DirectOnly));
-  Ids = std::move(R.ComponentIds);
-  Cycle.assign(G.getNumNodes(), false);
-  for (size_t N = 0; N != G.getNumNodes(); ++N)
-    if (R.ComponentSizes[static_cast<size_t>(Ids[N])] > 1)
-      Cycle[N] = true;
-  for (const CallArc &Arc : G.getArcs()) {
-    if (DirectOnly && Arc.Kind != ArcKind::Direct)
-      continue;
-    if (Arc.Caller == Arc.Callee)
-      Cycle[static_cast<size_t>(Arc.Caller)] = true;
-  }
-}
 } // namespace
 
 void CallGraph::computeScc() {
-  computeSccInto(*this, /*DirectOnly=*/false, SccIds, OnCycle);
-  computeSccInto(*this, /*DirectOnly=*/true, DirectSccIds, OnDirectCycle);
+  SccResult R =
+      impact::computeScc(buildSuccessorLists(*this, /*DirectOnly=*/true));
+  DirectSccIds = std::move(R.ComponentIds);
+  // Self arcs count as cycles.
+  OnDirectCycle.assign(getNumNodes(), false);
+  for (size_t N = 0; N != getNumNodes(); ++N)
+    if (R.ComponentSizes[static_cast<size_t>(DirectSccIds[N])] > 1)
+      OnDirectCycle[N] = true;
+  for (const CallArc &Arc : Arcs)
+    if (Arc.Kind == ArcKind::Direct && Arc.Caller == Arc.Callee)
+      OnDirectCycle[static_cast<size_t>(Arc.Caller)] = true;
 }
 
 void CallGraph::computeReachability(NodeId Main) {
@@ -132,8 +124,6 @@ std::string CallGraph::dump(const std::vector<std::string> &FuncNames) const {
        << NodeWeights[N];
     if (!OnDirectCycle.empty() && OnDirectCycle[N])
       OS << " recursive";
-    else if (!OnCycle.empty() && OnCycle[N])
-      OS << " worst-case-cycle";
     if (!Reachable.empty() && !Reachable[N])
       OS << " unreachable";
     OS << '\n';

@@ -21,9 +21,11 @@
 ///   address-taken function, widened to every function when an external
 ///   function exists (precise address-taken sets are then impossible).
 ///
-/// Cycle detection over this graph (SCCs, including pseudo nodes) yields
-/// the recursion information the cost function's stack hazard needs, and
-/// reachability from main yields function-level dead code information.
+/// Cycle detection over the Direct arcs (SCCs of the user functions)
+/// yields the recursion predicate the cost function's stack hazard needs.
+/// The pseudo arcs would make every I/O-performing function recursive, so
+/// they take no part in it; reachability from main follows every arc,
+/// pseudo arcs included, and yields function-level dead code information.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,30 +105,19 @@ public:
     return NodeWeights[static_cast<size_t>(N)];
   }
 
-  // SCC / recursion queries (populated by computeScc()).
-  //
-  // Two decompositions are kept. The *full* SCC runs over every arc,
-  // including the worst-case $$$/### fan-outs; it reflects the paper's
-  // observation that external functions create "many more cycles" and is
-  // what conservative dead-code reasoning sees. The *direct* SCC runs over
-  // Direct arcs only and captures real user-level recursion — the
-  // recursion predicate the inlining hazards use (otherwise every function
-  // that performs I/O would count as recursive and nothing could ever be
-  // expanded).
+  // SCC / recursion queries (populated by computeScc()), over Direct arcs
+  // only: real user-level recursion.
 
-  /// Computes both SCC decompositions (Tarjan).
+  /// Computes the SCC decomposition (Tarjan).
   void computeScc();
-  bool sccComputed() const { return !SccIds.empty(); }
-  int getSccId(NodeId N) const { return SccIds[static_cast<size_t>(N)]; }
-  /// True if \p N lies on a cycle of the full graph (SCC size >1 or a
-  /// self arc).
-  bool isOnCycle(NodeId N) const { return OnCycle[static_cast<size_t>(N)]; }
+  bool sccComputed() const { return !DirectSccIds.empty(); }
 
   /// SCC id over Direct arcs only.
   int getDirectSccId(NodeId N) const {
     return DirectSccIds[static_cast<size_t>(N)];
   }
-  /// True if \p N participates in real (user-level) recursion.
+  /// True if \p N participates in real (user-level) recursion (SCC size >1
+  /// or a self arc).
   bool isRecursive(NodeId N) const {
     return OnDirectCycle[static_cast<size_t>(N)];
   }
@@ -152,8 +143,6 @@ private:
   std::vector<std::vector<size_t>> OutArcIndices;
   std::vector<std::vector<size_t>> InArcIndices;
   std::vector<double> NodeWeights;
-  std::vector<int> SccIds;
-  std::vector<bool> OnCycle;
   std::vector<int> DirectSccIds;
   std::vector<bool> OnDirectCycle;
   std::vector<bool> Reachable;

@@ -26,8 +26,6 @@ const char *impact::getUnsafeReasonName(UnsafeReason R) {
   switch (R) {
   case UnsafeReason::None:
     return "none";
-  case UnsafeReason::RecursiveCycle:
-    return "recursive-cycle";
   case UnsafeReason::StackHazard:
     return "stack-hazard";
   case UnsafeReason::LowWeight:
@@ -96,19 +94,9 @@ Classification impact::classifyCallSites(const Module &M, const CallGraph &G,
         }
 
         // Direct user-function call: apply the unsafe hazards in severity
-        // order (recursion > stack > weight).
-        bool SameCycle =
-            Options.TreatExternalCyclesAsRecursion
-                ? G.getSccId(F.Id) == G.getSccId(Callee.Id)
-                : G.getDirectSccId(F.Id) == G.getDirectSccId(Callee.Id);
-        bool CallerRecursive = Options.TreatExternalCyclesAsRecursion
-                                   ? G.isOnCycle(F.Id)
-                                   : G.isRecursive(F.Id);
-        if (SameCycle) {
-          Info.Class = SiteClass::Unsafe;
-          Info.Reason = UnsafeReason::RecursiveCycle;
-        } else if (CallerRecursive &&
-                   Callee.getActivationWords() > Options.StackBound) {
+        // order (stack > weight).
+        if (G.isRecursive(F.Id) &&
+            Callee.getActivationWords() > Options.StackBound) {
           Info.Class = SiteClass::Unsafe;
           Info.Reason = UnsafeReason::StackHazard;
         } else if (Info.Weight < Options.MinArcWeight) {

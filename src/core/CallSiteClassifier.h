@@ -12,8 +12,8 @@
 ///   pointer  — call through pointer ("defeats inline expansion"),
 ///   unsafe   — a direct call that either introduces a function body into a
 ///              recursive path with a large stack footprint (control stack
-///              explosion hazard), is itself part of a recursion cycle, or
-///              has an estimated execution count below the threshold,
+///              explosion hazard) or has an estimated execution count below
+///              the threshold,
 ///   safe     — everything else; only safe sites are considered for
 ///              expansion.
 ///
@@ -36,9 +36,6 @@ enum class SiteClass { External, Pointer, Unsafe, Safe };
 /// Why a direct site landed in Unsafe.
 enum class UnsafeReason {
   None,
-  /// Caller and callee share an SCC (includes self recursion): the call
-  /// cannot be absorbed (§2.3: only the first iteration could be).
-  RecursiveCycle,
   /// Caller is on a cycle and the callee's activation exceeds StackBound
   /// (§2.3.2's m()/n() example).
   StackHazard,

@@ -19,8 +19,6 @@ const char *impact::getCostVerdictName(CostVerdict V) {
     return "not-inlinable";
   case CostVerdict::OrderViolation:
     return "order-violation";
-  case CostVerdict::RecursiveCycle:
-    return "recursive-cycle";
   case CostVerdict::StackHazard:
     return "stack-hazard";
   case CostVerdict::LowWeight:
@@ -85,22 +83,10 @@ CostResult impact::computeArcCost(const SiteInfo &Site, const CallGraph &G,
 
   N.CalleeSize = Est.FuncSize[static_cast<size_t>(Callee)];
   N.CalleeStackWords = Est.StackWords[static_cast<size_t>(Callee)];
-  N.CallerRecursive = Options.TreatExternalCyclesAsRecursion
-                          ? G.isOnCycle(Caller)
-                          : G.isRecursive(Caller);
+  N.CallerRecursive = G.isRecursive(Caller);
 
-  // Recursion: an arc inside one SCC can never be absorbed. Which SCC
-  // counts as recursion is the pessimism knob (see InlineOptions).
-  // Checked before the order constraint so self arcs report the more
-  // informative verdict.
-  bool SameCycle = Options.TreatExternalCyclesAsRecursion
-                       ? G.getSccId(Caller) == G.getSccId(Callee)
-                       : G.getDirectSccId(Caller) ==
-                             G.getDirectSccId(Callee);
-  if (SameCycle)
-    return Reject(CostVerdict::RecursiveCycle);
-
-  // Linear-order constraint (§3.4): callee must precede caller.
+  // Linear-order constraint (§3.4): callee must precede caller. This also
+  // refuses self arcs and one direction of every cycle.
   if (!L.precedes(Callee, Caller))
     return Reject(CostVerdict::OrderViolation);
 

@@ -44,8 +44,6 @@ enum class CostVerdict {
   NotInlinable,
   /// Callee does not precede the caller in the linear sequence.
   OrderViolation,
-  /// Caller and callee share a cycle (self/mutual recursion).
-  RecursiveCycle,
   /// Caller recursive and callee stack usage above StackBound.
   StackHazard,
   /// Arc weight below MinArcWeight.

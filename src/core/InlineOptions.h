@@ -53,14 +53,6 @@ struct InlineOptions {
   /// CallGraphOptions::AssumeExternalsCallBack.
   bool AssumeExternalsCallBack = true;
 
-  /// When true, the $$$/### worst-case cycles also count as recursion for
-  /// the hazard checks — every I/O-performing function becomes
-  /// "recursive" and almost nothing can be expanded. Off by default: the
-  /// recursion hazards use real (direct-arc) recursion, while the
-  /// worst-case graph still governs dead-function elimination. Exists for
-  /// the pessimism ablation.
-  bool TreatExternalCyclesAsRecursion = false;
-
   /// Run the optimization pipeline on functions that received inlined
   /// bodies. The paper measured *without* post-inline optimization (§4.4);
   /// this knob exists for the ablation.

@@ -32,7 +32,7 @@ std::vector<FuncId> bottomUpOrder(const Module &M, const CallGraph &G) {
     if (!F.IsExternal)
       Ids.push_back(F.Id);
   std::stable_sort(Ids.begin(), Ids.end(), [&](FuncId A, FuncId B) {
-    return G.getSccId(A) < G.getSccId(B);
+    return G.getDirectSccId(A) < G.getDirectSccId(B);
   });
   return Ids;
 }

@@ -42,9 +42,6 @@ std::string impact::formatDecisionReason(const PlannedSite &P,
     return "callee '" + funcName(M, P.Callee) +
            "' does not precede caller '" + funcName(M, P.Caller) +
            "' in the linear order";
-  case CostVerdict::RecursiveCycle:
-    return "caller '" + funcName(M, P.Caller) + "' and callee '" +
-           funcName(M, P.Callee) + "' share a recursion cycle";
   case CostVerdict::StackHazard:
     return "caller recursive and callee stack " +
            std::to_string(N.CalleeStackWords) + " words > bound " +

@@ -81,16 +81,36 @@ TEST(Classifier, ThresholdBoundaryIsInclusive) {
   EXPECT_EQ(Leaf->Class, SiteClass::Safe);
 }
 
-TEST(Classifier, RecursiveCycleSitesAreUnsafe) {
-  auto R = classify("int fib(int n) { if (n < 2) return n;"
+TEST(Classifier, SelfCallsFollowTheStackAndWeightRules) {
+  // No rule refuses a call for being recursive as such: fib's two hot,
+  // small-frame self-calls are safe, and only the stack and weight rules
+  // can make them unsafe (the planner's linear order refuses self arcs).
+  const char *Fib = "int fib(int n) { if (n < 2) return n;"
                     "return fib(n - 1) + fib(n - 2); }"
-                    "int main() { return fib(14); }",
-                    {""});
-  size_t RecursiveSites = 0;
-  for (const SiteInfo &S : R.Classes.Sites)
-    if (S.Reason == UnsafeReason::RecursiveCycle)
-      ++RecursiveSites;
-  EXPECT_EQ(RecursiveSites, 2u) << "both fib self-calls";
+                    "int main() { return fib(14); }";
+  auto selfCalls = [](const Classified &R) {
+    FuncId F = R.M.findFunction("fib");
+    std::vector<SiteInfo> Sites;
+    for (const SiteInfo &S : R.Classes.Sites)
+      if (S.Caller == F && S.Callee == F)
+        Sites.push_back(S);
+    return Sites;
+  };
+
+  auto Default = classify(Fib, {""});
+  ASSERT_EQ(selfCalls(Default).size(), 2u) << "both fib self-calls";
+  for (const SiteInfo &S : selfCalls(Default))
+    EXPECT_EQ(S.Class, SiteClass::Safe);
+
+  InlineOptions Tight;
+  Tight.StackBound = 0; // below fib's frame
+  for (const SiteInfo &S : selfCalls(classify(Fib, {""}, Tight)))
+    EXPECT_EQ(S.Reason, UnsafeReason::StackHazard);
+
+  InlineOptions Picky;
+  Picky.MinArcWeight = 1e9;
+  for (const SiteInfo &S : selfCalls(classify(Fib, {""}, Picky)))
+    EXPECT_EQ(S.Reason, UnsafeReason::LowWeight);
 }
 
 TEST(Classifier, StackHazardDetected) {
@@ -120,24 +140,6 @@ TEST(Classifier, StackHazardClearedByLargeBound) {
       Site = &S;
   ASSERT_NE(Site, nullptr);
   EXPECT_NE(Site->Reason, UnsafeReason::StackHazard);
-}
-
-TEST(Classifier, PessimisticModeMakesIoRecursive) {
-  InlineOptions Options;
-  Options.TreatExternalCyclesAsRecursion = true;
-  auto R = classify("extern int getchar();"
-                    "int step(int c) { return c + getchar(); }"
-                    "int main() { int c; int t; t = 0; c = getchar();"
-                    "while (c != -1) { t = step(t); c = getchar(); }"
-                    "return t; }",
-                    {std::string(40, 'x')}, Options);
-  const SiteInfo *Step = nullptr;
-  for (const SiteInfo &S : R.Classes.Sites)
-    if (S.Callee == R.M.findFunction("step"))
-      Step = &S;
-  ASSERT_NE(Step, nullptr);
-  EXPECT_EQ(Step->Reason, UnsafeReason::RecursiveCycle)
-      << "main and step share the $$$ cycle in pessimistic mode";
 }
 
 TEST(Classifier, DynamicSumsMatchClassTotals) {

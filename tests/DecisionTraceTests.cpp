@@ -8,8 +8,8 @@
 /// The decision trace must explain every ruling with the numbers it was
 /// decided on: unit coverage for each CostVerdict's DecisionNumbers and
 /// reason line, plus byte-exact golden tables for two suite programs (tee:
-/// nothing expandable; grep: acceptances, recursion, and budget
-/// rejections in one plan).
+/// nothing expandable; grep: acceptances, order violations inside a
+/// recursion cycle, and budget rejections in one plan).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -162,14 +162,14 @@ int main() {
       << Reason;
 }
 
-TEST(DecisionTrace, RecursiveCycleNamesBothEnds) {
+TEST(DecisionTrace, SelfArcOrderViolationNamesBothEnds) {
   Planned P = planProgram(test::kRecursiveProgram, std::string(9, 'x'));
   const PlannedSite *S = findArc(P, "fib", "fib");
   ASSERT_NE(S, nullptr);
-  ASSERT_EQ(S->Verdict, CostVerdict::RecursiveCycle);
+  ASSERT_EQ(S->Verdict, CostVerdict::OrderViolation);
   std::string Reason = formatDecisionReason(*S, P.M);
-  EXPECT_NE(Reason.find("'fib'"), std::string::npos) << Reason;
-  EXPECT_NE(Reason.find("recursion cycle"), std::string::npos) << Reason;
+  EXPECT_NE(Reason.find("callee 'fib'"), std::string::npos) << Reason;
+  EXPECT_NE(Reason.find("caller 'fib'"), std::string::npos) << Reason;
 }
 
 TEST(DecisionTrace, PointerAndExternalSitesAreExplained) {
@@ -289,36 +289,36 @@ const char *const kGoldenTee = R"GOLD(site         caller         callee   weigh
 15             main      print_int     1.00  not-expandable    not-inlinable                                    callee 'print_int' is external (no body)
 16             main        putchar     1.00  not-expandable    not-inlinable                                      callee 'putchar' is external (no body)
 )GOLD";
-const char *const kGoldenGrep = R"GOLD(site      caller       callee   weight          status          verdict                                                                    reason
--------------------------------------------------------------------------------------------------------------------------------------------------
-1       emit_str      putchar     0.00  not-expandable    not-inlinable                                    callee 'putchar' is external (no body)
-2          usage     emit_str     0.00        rejected       low-weight                                             weight 0.00 < threshold 10.00
-3          usage      putchar     0.00  not-expandable    not-inlinable                                    callee 'putchar' is external (no body)
-4     set_option     emit_str     0.00        rejected       low-weight                                             weight 0.00 < threshold 10.00
-5     set_option      putchar     0.00  not-expandable    not-inlinable                                    callee 'putchar' is external (no body)
-6     load_input   read_block     1.00  not-expandable    not-inlinable                                 callee 'read_block' is external (no body)
-7     load_input   read_block     2.50  not-expandable    not-inlinable                                 callee 'read_block' is external (no body)
-8     match_star   match_here     0.00        rejected  recursive-cycle       caller 'match_star' and callee 'match_here' share a recursion cycle
-9     match_star       at_end     0.00  not-expandable  order-violation  callee 'at_end' does not precede caller 'match_star' in the linear order
-10    match_star   char_match     0.00        rejected       low-weight                                             weight 0.00 < threshold 10.00
-11    match_here   match_star     0.00        rejected  recursive-cycle       caller 'match_here' and callee 'match_star' share a recursion cycle
-12    match_here       at_end     0.00  not-expandable  order-violation  callee 'at_end' does not precede caller 'match_here' in the linear order
-13    match_here   char_match  8138.00        expanded       acceptable  weight 8138.00 >= threshold 10.00; program 393 + callee 12 <= budget 491
-14    match_line   match_here     0.00        rejected       low-weight                                             weight 0.00 < threshold 10.00
-15    match_line   match_here  6829.50        expanded       acceptable  weight 6829.50 >= threshold 10.00; program 405 + callee 70 <= budget 491
-16     emit_line      putchar  2924.00  not-expandable    not-inlinable                                    callee 'putchar' is external (no body)
-17     emit_line      putchar    83.00  not-expandable    not-inlinable                                    callee 'putchar' is external (no body)
-18          main  input_avail     1.00  not-expandable    not-inlinable                                callee 'input_avail' is external (no body)
-19          main        usage     0.00  not-expandable  order-violation         callee 'usage' does not precede caller 'main' in the linear order
-20          main   load_input     1.00        rejected       low-weight                                             weight 1.00 < threshold 10.00
-21          main    next_line     1.00        rejected       low-weight                                             weight 1.00 < threshold 10.00
-22          main   set_option     0.00  not-expandable  order-violation    callee 'set_option' does not precede caller 'main' in the linear order
-23          main    next_line     0.00        rejected       low-weight                                             weight 0.00 < threshold 10.00
-24          main    next_line   252.00        rejected  budget-exceeded                                      program 475 + callee 61 > budget 491
-25          main   match_line   251.00        rejected  budget-exceeded                                     program 475 + callee 108 > budget 491
-27          main    print_int     1.00  not-expandable    not-inlinable                                  callee 'print_int' is external (no body)
-28          main      putchar     1.00  not-expandable    not-inlinable                                    callee 'putchar' is external (no body)
-26          main    emit_line    83.00        rejected  budget-exceeded                                      program 475 + callee 19 > budget 491
+const char *const kGoldenGrep = R"GOLD(site      caller       callee   weight          status          verdict                                                                        reason
+-----------------------------------------------------------------------------------------------------------------------------------------------------
+1       emit_str      putchar     0.00  not-expandable    not-inlinable                                        callee 'putchar' is external (no body)
+2          usage     emit_str     0.00        rejected       low-weight                                                 weight 0.00 < threshold 10.00
+3          usage      putchar     0.00  not-expandable    not-inlinable                                        callee 'putchar' is external (no body)
+4     set_option     emit_str     0.00        rejected       low-weight                                                 weight 0.00 < threshold 10.00
+5     set_option      putchar     0.00  not-expandable    not-inlinable                                        callee 'putchar' is external (no body)
+6     load_input   read_block     1.00  not-expandable    not-inlinable                                     callee 'read_block' is external (no body)
+7     load_input   read_block     2.50  not-expandable    not-inlinable                                     callee 'read_block' is external (no body)
+8     match_star   match_here     0.00        rejected       low-weight                                                 weight 0.00 < threshold 10.00
+9     match_star       at_end     0.00  not-expandable  order-violation      callee 'at_end' does not precede caller 'match_star' in the linear order
+10    match_star   char_match     0.00        rejected       low-weight                                                 weight 0.00 < threshold 10.00
+11    match_here   match_star     0.00  not-expandable  order-violation  callee 'match_star' does not precede caller 'match_here' in the linear order
+12    match_here       at_end     0.00  not-expandable  order-violation      callee 'at_end' does not precede caller 'match_here' in the linear order
+13    match_here   char_match  8138.00        expanded       acceptable      weight 8138.00 >= threshold 10.00; program 393 + callee 12 <= budget 491
+14    match_line   match_here     0.00        rejected       low-weight                                                 weight 0.00 < threshold 10.00
+15    match_line   match_here  6829.50        expanded       acceptable      weight 6829.50 >= threshold 10.00; program 405 + callee 70 <= budget 491
+16     emit_line      putchar  2924.00  not-expandable    not-inlinable                                        callee 'putchar' is external (no body)
+17     emit_line      putchar    83.00  not-expandable    not-inlinable                                        callee 'putchar' is external (no body)
+18          main  input_avail     1.00  not-expandable    not-inlinable                                    callee 'input_avail' is external (no body)
+19          main        usage     0.00  not-expandable  order-violation             callee 'usage' does not precede caller 'main' in the linear order
+20          main   load_input     1.00        rejected       low-weight                                                 weight 1.00 < threshold 10.00
+21          main    next_line     1.00        rejected       low-weight                                                 weight 1.00 < threshold 10.00
+22          main   set_option     0.00  not-expandable  order-violation        callee 'set_option' does not precede caller 'main' in the linear order
+23          main    next_line     0.00        rejected       low-weight                                                 weight 0.00 < threshold 10.00
+24          main    next_line   252.00        rejected  budget-exceeded                                          program 475 + callee 61 > budget 491
+25          main   match_line   251.00        rejected  budget-exceeded                                         program 475 + callee 108 > budget 491
+27          main    print_int     1.00  not-expandable    not-inlinable                                      callee 'print_int' is external (no body)
+28          main      putchar     1.00  not-expandable    not-inlinable                                        callee 'putchar' is external (no body)
+26          main    emit_line    83.00        rejected  budget-exceeded                                          program 475 + callee 19 > budget 491
 )GOLD";
 
 struct GoldenCase {

@@ -122,6 +122,69 @@ TEST(Pipeline, StackBoundPreventsHazardousExpansion) {
   EXPECT_TRUE(R.outputsMatch());
 }
 
+TEST(Pipeline, HotCycleExpandsInTheOrderedDirectionOnly) {
+  // A two-function cycle with hot arcs, shaped like yacc's parse_symbol /
+  // parse_seq. seq runs more often, so it precedes sym in the linear
+  // order: sym -> seq is expanded; seq -> sym and the self arc seq -> seq
+  // are order violations. The recursion itself refuses nothing.
+  const char *Source = R"MC(
+extern int getchar();
+extern int print_int(int v);
+int seq(int n) {
+  if (n <= 0) return 0;
+  return sym(n - 1) + seq(n - 1);
+}
+int sym(int n) {
+  if (n <= 0) return 1;
+  return seq(n - 1) * 2 + n;
+}
+int main() {
+  int c;
+  int d;
+  d = 0;
+  c = getchar();
+  while (c != -1) { d = d + 1; c = getchar(); }
+  print_int(sym(d));
+  return 0;
+}
+)MC";
+  auto Inputs = singleStream({std::string(10, 'x'), std::string(12, 'y')});
+  std::vector<std::string> Outputs;
+  for (ExecEngine Engine : {ExecEngine::Walker, ExecEngine::Vm}) {
+    PipelineOptions Options;
+    Options.Engine = Engine;
+    Options.Analyze = true;
+    Options.Inline.CodeGrowthFactor = 4.0; // a tiny program: room for seq
+    PipelineResult R = runPipeline(Source, "cycle", Inputs, Options);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_TRUE(R.outputsMatch());
+    EXPECT_FALSE(R.Analysis.hasErrors()) << R.Analysis.renderText();
+    for (const Finding &F : R.Analysis.Findings)
+      EXPECT_NE(F.Rule, kRuleAuditWeightConservation) << F.render();
+
+    FuncId Seq = R.FinalModule.findFunction("seq");
+    FuncId Sym = R.FinalModule.findFunction("sym");
+    auto verdictOf = [&](FuncId Caller, FuncId Callee) {
+      for (const PlannedSite &S : R.Inline.Plan.Sites)
+        if (S.Caller == Caller && S.Callee == Callee)
+          return S;
+      ADD_FAILURE() << "no planned arc";
+      return PlannedSite();
+    };
+    PlannedSite Forward = verdictOf(Sym, Seq);
+    EXPECT_EQ(Forward.Verdict, CostVerdict::Acceptable);
+    EXPECT_EQ(Forward.Status, ArcStatus::Expanded);
+    EXPECT_EQ(verdictOf(Seq, Sym).Verdict, CostVerdict::OrderViolation);
+    EXPECT_EQ(verdictOf(Seq, Seq).Verdict, CostVerdict::OrderViolation);
+    EXPECT_LT(R.After.AvgCalls, R.Before.AvgCalls);
+    Outputs.insert(Outputs.end(), R.OutputsAfter.begin(),
+                   R.OutputsAfter.end());
+  }
+  ASSERT_EQ(Outputs.size(), 4u);
+  EXPECT_EQ(Outputs[0], Outputs[2]) << "walker and VM agree";
+  EXPECT_EQ(Outputs[1], Outputs[3]) << "walker and VM agree";
+}
+
 TEST(Pipeline, ModuleOverloadAcceptsCompiledModule) {
   Module M = test::compileOk(test::kCallHeavyProgram);
   PipelineResult R = runPipeline(std::move(M), singleStream({"abc"}));

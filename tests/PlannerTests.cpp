@@ -74,13 +74,59 @@ TEST(Planner, LowWeightArcsRejected) {
 }
 
 TEST(Planner, RecursiveArcsRejected) {
+  // A self arc never passes the linear order: fib does not precede fib.
   PlanFixture Fx = plan("int fib(int n) { if (n < 2) return n;"
                         "return fib(n - 1) + fib(n - 2); }"
                         "int main() { return fib(16); }",
                         {""});
-  const PlannedSite *Fib = findByCallee(Fx, "fib");
-  ASSERT_NE(Fib, nullptr);
-  EXPECT_EQ(Fib->Verdict, CostVerdict::RecursiveCycle);
+  FuncId Fib = Fx.M.findFunction("fib");
+  size_t SelfArcs = 0;
+  for (const PlannedSite &S : Fx.Plan.Sites)
+    if (S.Caller == Fib && S.Callee == Fib) {
+      ++SelfArcs;
+      EXPECT_EQ(S.Verdict, CostVerdict::OrderViolation);
+      EXPECT_EQ(S.Status, ArcStatus::NotExpandable);
+    }
+  EXPECT_EQ(SelfArcs, 2u);
+}
+
+TEST(Planner, LargeFrameCycleMemberIsAStackHazard) {
+  // sym and seq form a cycle; seq runs more often, so it precedes sym and
+  // the arc sym -> seq passes the linear order. seq's frame is above the
+  // default bound, so only the stack hazard keeps it out of sym.
+  const char *Source =
+      "extern int getchar();"
+      "int seq(int n) { int buf[3000]; buf[0] = n; buf[2999] = n;"
+      "  if (n <= 0) return buf[0];"
+      "  return sym(n - 1) + seq(n - 1) + buf[2999]; }"
+      "int sym(int n) { if (n <= 0) return 1; return seq(n - 1) * 2; }"
+      "int main() { int c; int d; d = 0; c = getchar();"
+      "while (c != -1) { d = d + 1; c = getchar(); } return sym(d) % 97; }";
+  auto symToSeq = [](const PlanFixture &Fx) {
+    FuncId Sym = Fx.M.findFunction("sym"), Seq = Fx.M.findFunction("seq");
+    for (const PlannedSite &S : Fx.Plan.Sites)
+      if (S.Caller == Sym && S.Callee == Seq)
+        return &S;
+    return static_cast<const PlannedSite *>(nullptr);
+  };
+
+  InlineOptions Options;
+  Options.CodeGrowthFactor = 4.0; // a tiny program: room for seq
+  PlanFixture AtDefaultBound = plan(Source, {std::string(8, 'x')}, Options);
+  const PlannedSite *Refused = symToSeq(AtDefaultBound);
+  ASSERT_NE(Refused, nullptr);
+  EXPECT_EQ(Refused->Verdict, CostVerdict::StackHazard);
+  EXPECT_EQ(Refused->Status, ArcStatus::Rejected);
+  const SiteInfo *Info = AtDefaultBound.Classes.findSite(Refused->SiteId);
+  ASSERT_NE(Info, nullptr);
+  EXPECT_EQ(Info->Reason, UnsafeReason::StackHazard);
+
+  Options.StackBound = 1 << 20;
+  PlanFixture Loose = plan(Source, {std::string(8, 'x')}, Options);
+  const PlannedSite *Accepted = symToSeq(Loose);
+  ASSERT_NE(Accepted, nullptr);
+  EXPECT_EQ(Accepted->Verdict, CostVerdict::Acceptable);
+  EXPECT_EQ(Accepted->Status, ArcStatus::ToBeExpanded);
 }
 
 TEST(Planner, BudgetRejectsWhenExhausted) {

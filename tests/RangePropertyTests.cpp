@@ -305,7 +305,7 @@ TEST(RangeSuite, FactsBitIdenticalToSeed) {
   EXPECT_EQ(test::renderHash(hash128(PreOpt)),
             "fe7d871c82eb1fe984fb6eb0d859dbf9");
   EXPECT_EQ(test::renderHash(hash128(Server)),
-            "692ba0756995d5eddcd76f1ab85abd60");
+            "724e5723b2bb0aa3250266d769a890d5");
   EXPECT_EQ(test::renderHash(hash128(Corpus)),
             "28779cf2bf9108ada471327bde142944");
 }
